@@ -64,7 +64,8 @@ def main() -> int:
     if tracer is not None:
         after = evaluator_counters()
         delta = {name: after[name] - before[name] for name in after}
-        report["layers"] = tracing.layer_metrics(tracer, tracer, delta)
+        report["layers"] = tracing.layer_metrics(tracer, delta,
+                                                 outcome.counts)
         report["root_s"] = tracer.seconds("root")
         report["root_self_s"] = tracer.self_seconds("root")
         tracer.write(args.dir / "spans.json")

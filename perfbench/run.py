@@ -2,18 +2,18 @@
 
 Usage, from the repository root::
 
-    python3 perfbench/run.py --workload campaign --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload campaign --seed 1 --seconds 30 --trace 0
 
 Workloads (see ``BENCHMARK.json`` for why each was chosen):
 
 * ``campaign``: kernels p01/p03/p14/p18/p21, the suite runner's search
-  config at 6% of its proposal budget, two chains per kernel,
+  config at 4% of its proposal budget, two chains per kernel,
   interleaved and journaled, on the ``--jobs 2`` process pool;
-* ``promote``: p01/p03/p06/p14, ten 300-proposal single-segment chains
+* ``promote``: p01/p02/p04-p07, ten 300-proposal single-segment chains
   per kernel, journaled, on ``--workers 2`` TCP loopback workers;
 * ``verify``: validator queries with known answers: every suite
-  kernel's O0 listing against its gcc and icc listings, then seeded
-  single-move mutants of the p01-p25 gcc listings.
+  kernel's O0 listing against its gcc and icc listings (but mont/icc),
+  then seeded single-move mutants of the p01-p25 gcc listings.
 
 Each round of a workload runs in a fresh interpreter (``child.py``), a
 closed loop with one client that waits for the whole round. With
@@ -31,12 +31,25 @@ first round whose parallel run ends within its deadline.
 End-to-end metrics: ``setup_s`` (start of a round's interpreter to its
 first chain granted or first query issued, median of five set-ups),
 ``wall_s`` (median round time after set-up), ``proposals_per_s``
-(chain proposals over chain time; for ``verify``, the median kernel's
-mutant-screening rate), ``ok_share`` (attempted chains and queries that
-were neither lost nor answered wrongly or not at all: one minus the
-failed share) and ``peak_rss_mb`` (median round peak, workers
+(chain proposals over chain time; for ``verify``, the geometric mean
+of the kernels' mutant-screening rates), ``ok_share`` (attempted
+chains and queries that were neither lost nor answered wrongly or not
+at all, a cut round's chains counted as not answered: one minus the
+failed share) and ``peak_rss_mb`` (the lowest round peak, workers
 included). Search quality and time to verdict are printed too, but
 they vary with the seed beyond any bound a run of this size can hold.
+
+The host is a share of a busy machine that slows each core on its own
+by up to a fifth for tens of seconds, so every timed metric is scaled
+to a reference host speed: while a round runs, this process times a
+fixed piece of interpreter work (:func:`probe_ms`) on each core the
+round runs on at every 0.1 s poll (``verify``, one process, runs on
+one core), and the round's times are divided by (its rates multiplied
+by) the probe's slowdown against :data:`REFERENCE_PROBE_MS`. The probe
+is plain Python, independent of the program under test, so a change to
+the program moves the scaled times as it moves the measured ones. The
+measured times and each round's slowdown are printed beside the
+metrics.
 
 Every round checks its outputs (see ``workloads.py``), and each
 round's exact counts must equal those of any earlier run of the same
@@ -59,27 +72,38 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
-from workloads import digest
+from workloads import digest, planned_chains
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 STATE = ROOT / ".perfbench"
 
 WORKLOADS = ("campaign", "promote", "verify")
-#: Run seconds per round: fixes the round count of an untraced run (two
-#: campaign, three promote and one verify round at 12 s). The host's
-#: speed drifts within seconds and promote's validation load varies
-#: with the seed, so a run takes the median of several short rounds.
-SECONDS_PER_ROUND = {"campaign": 6.0, "promote": 3.75, "verify": 30.0}
+#: Seconds one round takes at the reference speed (2 vCPUs): fixes the
+#: round count of an untraced run (three rounds of each workload at
+#: 30 s). A run reports the median of its rounds, so the validation
+#: load of one round decides little.
+SECONDS_PER_ROUND = {"campaign": 10.0, "promote": 9.0, "verify": 10.0}
 #: A promote round still running after this many seconds is stopped and
-#: its wall time read as this value: a seed's draw of a huge validator
-#: query (an 85k-variable CNF took 78 s) must neither push a run past
-#: three minutes nor decide the median of its rounds.
-ROUND_DEADLINE_S = {"promote": 30.0}
+#: its wall time read as this value: a seed's draw of a slow validator
+#: query (a 314-variable p04 CNF took 19.5 s of SAT search, an
+#: 85k-variable one 78 s; about one round in fifteen draws one) must
+#: neither push a run past three minutes nor decide the median of its
+#: rounds. Its chains count as attempted and failed
+#: (``round-timeout``) in ``ok_share``.
+ROUND_DEADLINE_S = {"promote": 45.0}
 SETUP_SAMPLES = 5
 CHILD_TIMEOUT = 150.0
 CALIBRATION_LOOP = 3_000_000
+#: The host-speed probe: plain interpreter work on this many items,
+#: timed in this process's thread CPU time on each of the round's
+#: cores at every 0.1 s poll. A round's slowdown is the mean over its
+#: cores of the median probe time over the round's whole life, divided
+#: by :data:`REFERENCE_PROBE_MS`.
+PROBE_ITEMS = 2000
+REFERENCE_PROBE_MS = 1.5
 #: Per-layer metrics measured on the coordinator of the parallel round.
 COORDINATOR_METRICS = (
     "engine.wait_s", "engine.submit_s", "engine.decode_s",
@@ -106,6 +130,34 @@ def host_calibration() -> float:
     for i in range(CALIBRATION_LOOP):
         total += i
     return time.perf_counter() - start
+
+
+def probe_ms() -> float:
+    """Thread CPU milliseconds of a fixed piece of interpreter work
+    (string keys, tuples, a dict, a keyed sort): the speed of the core
+    it runs on at this moment, blind to time the scheduler gives the
+    round's own processes.
+
+    On the core a one-process search loop ran on, its time tracked the
+    loop's (correlation 0.88 over 45 one-second chunks, which varied
+    by 10%); on the other core it did not (-0.08)."""
+    start = time.thread_time_ns()
+    table = {}
+    for i in range(PROBE_ITEMS):
+        table[str(i)] = (i, i * 2)
+    sorted(table.items(), key=lambda item: item[1][1] % 97)
+    return (time.thread_time_ns() - start) / 1e6
+
+
+def _probe_cores(probes: dict[int, list[float]]) -> None:
+    """One probe on each core in ``probes``, this process pinned to it."""
+    allowed = os.sched_getaffinity(0)
+    try:
+        for cpu, times in probes.items():
+            os.sched_setaffinity(0, {cpu})
+            times.append(probe_ms())
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
 def code_digest() -> str:
@@ -137,16 +189,26 @@ def _sample_peaks(pid: int, peaks: dict[int, int]) -> None:
             continue                    # exited while we looked
 
 
+class Round(NamedTuple):
+    """What :func:`run_child` saw of one round."""
+
+    report: dict | None        # None: cut at its deadline
+    start: float               # ``time.monotonic`` at launch
+    peak_mb: float
+    slowdown: float            # median probe time / reference
+
+
 def run_child(workload: str, seed: int, index: int, mode: str, *,
               serial: bool, work: Path, deadline: float | None = None
-              ) -> tuple[dict | None, float, float]:
+              ) -> Round:
     """Run one round in a fresh interpreter.
 
-    Returns its report, its start time (``time.monotonic``) and the
-    peak resident size of its process tree in MB: the sum over the
-    round's processes (the round itself, pool or TCP workers) of each
-    one's own peak, sampled every 0.1 s. A round still running after
-    ``deadline`` seconds is stopped and reports None.
+    Besides its report and start time, returns the peak resident size
+    of its process tree in MB (the sum over the round's processes —
+    the round itself, pool or TCP workers — of each one's own peak,
+    sampled every 0.1 s) and the host's slowdown while it ran, from a
+    probe at each sample. A round still running after ``deadline``
+    seconds is stopped and reports None.
     """
     shutil.rmtree(work, ignore_errors=True)
     (work / "verdicts").mkdir(parents=True)
@@ -162,13 +224,20 @@ def run_child(workload: str, seed: int, index: int, mode: str, *,
                "--dir", str(work), "--out", str(out)]
     if serial:
         command.append("--serial")
+    # the host slows each core on its own, so the probe runs on the
+    # cores the round runs on, and a one-process round gets one core
+    cpus = sorted(os.sched_getaffinity(0))
+    if workload == "verify":
+        cpus = cpus[:1]
     peaks: dict[int, int] = {}
+    probes: dict[int, list[float]] = {cpu: [] for cpu in cpus}
     cut = False
     with open(work / "log.txt", "wb") as log:
         start = time.monotonic()
-        proc = subprocess.Popen(command, env=env, cwd=ROOT, stdout=log,
-                                stderr=subprocess.STDOUT,
-                                start_new_session=True)
+        proc = subprocess.Popen(
+            command, env=env, cwd=ROOT, stdout=log,
+            stderr=subprocess.STDOUT, start_new_session=True,
+            preexec_fn=lambda: os.sched_setaffinity(0, cpus))
         try:
             while True:
                 try:
@@ -176,6 +245,7 @@ def run_child(workload: str, seed: int, index: int, mode: str, *,
                     break
                 except subprocess.TimeoutExpired:
                     _sample_peaks(proc.pid, peaks)
+                    _probe_cores(probes)
                 elapsed = time.monotonic() - start
                 if deadline is not None and elapsed > deadline:
                     cut = True
@@ -192,13 +262,18 @@ def run_child(workload: str, seed: int, index: int, mode: str, *,
                     pass
             proc.wait()
     peak_mb = sum(peaks.values()) / 1024
+    if not probes[cpus[0]]:
+        _probe_cores(probes)
+    slowdown = statistics.mean(statistics.median(times)
+                               for times in probes.values()) \
+        / REFERENCE_PROBE_MS
     if cut:
-        return None, start, peak_mb
+        return Round(None, start, peak_mb, slowdown)
     if proc.returncode != 0 or not out.exists():
         tail = (work / "log.txt").read_text(errors="replace")[-3000:]
         raise BenchError(f"{workload} round {index} ({mode}) exited "
                          f"{proc.returncode}:\n{tail}")
-    return json.loads(out.read_text()), start, peak_mb
+    return Round(json.loads(out.read_text()), start, peak_mb, slowdown)
 
 
 def check_fingerprint(workload: str, seed: int, index: int, counts: dict,
@@ -246,45 +321,56 @@ def measure(workload: str, seed: int, seconds: int,
     """The untraced run: end-to-end metrics over a fixed round count."""
     count = max(1, round(seconds / SECONDS_PER_ROUND[workload]))
     deadline = ROUND_DEADLINE_S.get(workload)
-    reports, setups, walls, peaks = [], [], [], []
+    rounds, tallies, setups, walls, rates = [], [], [], [], []
     for index in range(count):
-        report, start, peak = run_child(workload, seed, index, "run",
-                                        serial=False, deadline=deadline,
-                                        work=run / f"round-{index}")
-        peaks.append(peak)
-        if report is None:
-            walls.append(deadline)
+        child = run_child(workload, seed, index, "run", serial=False,
+                          deadline=deadline, work=run / f"round-{index}")
+        rounds.append(child)
+        if child.report is None:
+            walls.append(deadline / child.slowdown)
+            # the cut round's chains: attempted, none completed
+            chains = planned_chains(workload)
+            tallies.append({"attempted": chains, "failed": 0,
+                            "incomplete": {"round-timeout": chains}})
             continue
-        reports.append(report)
-        setups.append(report["setup_mark"] - start)
-        walls.append(report["done_mark"] - report["setup_mark"])
+        tallies.append(child.report)
+        setups.append(_setup(child))
+        walls.append(_wall(child))
+        rates.append(child.report["proposals_per_s"] * child.slowdown)
+    reports = [child.report for child in rounds if child.report]
     if not reports:
         raise BenchError(f"every {workload} round ran past {deadline} s")
     index = count
     while len(setups) < SETUP_SAMPLES:
-        report, start, _peak = run_child(workload, seed, index, "setup",
-                                         serial=False,
-                                         work=run / f"setup-{index}")
-        setups.append(report["setup_mark"] - start)
+        setups.append(_setup(run_child(workload, seed, index, "setup",
+                                       serial=False,
+                                       work=run / f"setup-{index}")))
         index += 1
-    attempted = sum(r["attempted"] for r in reports)
-    incomplete = sum(n for r in reports for n in r["incomplete"].values())
-    failed = sum(r["failed"] for r in reports)
+    attempted = sum(r["attempted"] for r in tallies)
+    incomplete = sum(n for r in tallies for n in r["incomplete"].values())
+    failed = sum(r["failed"] for r in tallies)
     metrics = {
         "setup_s": statistics.median(setups),
         "wall_s": statistics.median(walls),
-        "proposals_per_s": statistics.median(
-            r["proposals_per_s"] for r in reports),
+        "proposals_per_s": statistics.median(rates),
         "ok_share": (attempted - incomplete - failed) / attempted,
-        "peak_rss_mb": statistics.median(peaks),
+        # a seed's draw of a large validator query raises one round's
+        # peak; a program that needs more memory raises every round's
+        "peak_rss_mb": min(c.peak_mb for c in rounds),
     }
     detail = {
         "rounds": count, "rounds_cut": count - len(reports),
+        "host_slowdown": [round(c.slowdown, 3) for c in rounds],
+        "measured_wall_s": [round(c.report["done_mark"]
+                                  - c.report["setup_mark"], 3)
+                            for c in rounds if c.report],
+        "measured_rates": [round(r["proposals_per_s"], 1)
+                           for r in reports],
         "setup_samples": len(setups),
         **quality(reports),
         "failed_share": (incomplete + failed) / attempted,
         "attempted": attempted, "failed": failed,
-        "incomplete": _tally(reports),
+        "incomplete": _tally(tallies),
         "counts": {r["round"]: r["counts"] for r in reports},
     }
     return metrics, detail
@@ -298,18 +384,19 @@ def traced(workload: str, seed: int, run: Path,
     index, parallel = 0, None
     if search:
         for index in range(3):
-            parallel, _, _ = run_child(workload, seed, index, "coordinator",
-                                       serial=False, deadline=deadline,
-                                       work=run / "parallel")
+            parallel = run_child(workload, seed, index, "coordinator",
+                                 serial=False, deadline=deadline,
+                                 work=run / "parallel").report
             if parallel is not None:
                 break
         else:
             raise BenchError(f"no {workload} round ended within "
                              f"{deadline} s")
-    traced_report, _, _ = run_child(workload, seed, index, "trace",
-                                    serial=True, work=run / "traced")
-    plain, _, _ = run_child(workload, seed, index, "run", serial=True,
+    traced_child = run_child(workload, seed, index, "trace", serial=True,
+                             work=run / "traced")
+    plain_child = run_child(workload, seed, index, "run", serial=True,
                             work=run / "untraced")
+    traced_report, plain = traced_child.report, plain_child.report
     reports = [traced_report, plain]
     layers = dict(traced_report["layers"])
     if search:
@@ -326,9 +413,6 @@ def traced(workload: str, seed: int, run: Path,
     if plain["counts"] != traced_report["counts"]:
         problems.append("tracing changed the round's exact counts")
 
-    def wall(report: dict) -> float:
-        return report["done_mark"] - report["setup_mark"]
-
     # from the last untraced round: the parallel one where there is one
     untraced = quality(reports[-1:])
     layers["quality.speedup_geomean"] = untraced["speedup_geomean"]
@@ -336,12 +420,13 @@ def traced(workload: str, seed: int, run: Path,
     layers["verifier.verdict_p90_ms"] = untraced["verdict_p90_ms"]
     layers["verifier.spurious_refutations"] = \
         traced_report["incomplete"].get("spurious", 0)
-    layers["trace.overhead_ratio"] = wall(traced_report) / wall(plain) - 1
+    layers["trace.overhead_ratio"] = (_wall(traced_child)
+                                      / _wall(plain_child) - 1)
     layers["trace.unattributed_ratio"] = (traced_report["root_self_s"]
                                           / traced_report["root_s"])
     detail = {
-        "traced_wall_s": wall(traced_report),
-        "untraced_wall_s": wall(plain),
+        "traced_wall_s": _wall(traced_child),
+        "untraced_wall_s": _wall(plain_child),
         "attempted": sum(r["attempted"] for r in reports),
         "failed": sum(r["failed"] for r in reports),
         "incomplete": _tally(reports),
@@ -350,6 +435,17 @@ def traced(workload: str, seed: int, run: Path,
         "spans": str((run / "traced" / "spans.json").relative_to(ROOT)),
     }
     return layers, detail
+
+
+def _setup(child: Round) -> float:
+    """A round's set-up time, scaled to the reference host speed."""
+    return (child.report["setup_mark"] - child.start) / child.slowdown
+
+
+def _wall(child: Round) -> float:
+    """A round's time after set-up, scaled to the reference host speed."""
+    return (child.report["done_mark"] - child.report["setup_mark"]) \
+        / child.slowdown
 
 
 def _tally(reports: list[dict]) -> dict[str, int]:
@@ -364,7 +460,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=12)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if not (ROOT / "src" / "repro").is_dir():
@@ -375,6 +471,7 @@ def main() -> int:
     calibration = host_calibration()
     code = code_digest()
     run = STATE / f"{args.workload}-{args.seed}-trace{args.trace}"
+    shutil.rmtree(run, ignore_errors=True)    # no report of an older run
     problems: list[str] = []
     try:
         if args.trace:

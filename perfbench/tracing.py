@@ -9,8 +9,8 @@ of a round no layer accounts for.
 
 Totals, self times and call counts are exact for every call. Span
 records (name, start, end, parent) are kept in memory for every span
-outside the inner loop and for every ``sample_every``-th proposal's
-spans inside it, and written out once the round ends.
+outside the inner loop and for every :data:`SAMPLE_EVERY`-th
+proposal's spans inside it, and written out once the round ends.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
+#: Span records are kept for every this-many-th proposal.
+SAMPLE_EVERY = 64
 #: Spans opened inside a proposal; kept only on sampled proposals.
 _INNER = frozenset({
     "search.propose", "cost.evaluate", "cost.correctness",
@@ -30,8 +32,7 @@ _INNER = frozenset({
 class Tracer:
     """Nested spans with exact per-name totals and sampled records."""
 
-    def __init__(self, *, sample_every: int = 64) -> None:
-        self.sample_every = sample_every
+    def __init__(self) -> None:
         self.total_ns: dict[str, int] = defaultdict(int)
         self.self_ns: dict[str, int] = defaultdict(int)
         self.calls: Counter[str] = Counter()
@@ -55,8 +56,7 @@ class Tracer:
 
     def enter(self, name: str) -> None:
         if name == "search.propose":
-            self._keep_inner = \
-                self.calls[name] % self.sample_every == 0
+            self._keep_inner = self.calls[name] % SAMPLE_EVERY == 0
         self.calls[name] += 1
         self._stack.append([name, time.perf_counter_ns(), 0, -1])
 
@@ -205,14 +205,6 @@ def _install_inner(tracer: Tracer, sweep) -> None:
         counts["cost.testcases"] += result.testcases_evaluated
         counts["cost.early_exits"] += result.exceeded
 
-    def validated(result) -> None:
-        counts["verifier.refuted"] += not result.equivalent
-        # the simplifier folded the difference to 0: no CNF was built
-        counts["verifier.short_circuits"] += (result.equivalent
-                                              and not result.num_vars)
-        counts["smt.cnf_vars"] += result.num_vars
-        counts["smt.cnf_clauses"] += result.num_clauses
-
     _patch(MoveGenerator, "propose", tracer, "search.propose")
     _patch(MCMCSampler, "run", tracer, "search.chain", chain_done)
     _patch(function.CostFunction, "evaluate", tracer, "cost.evaluate",
@@ -229,7 +221,7 @@ def _install_inner(tracer: Tracer, sweep) -> None:
     for module in (ranker, sweep, session):
         _patch(module, "actual_runtime", tracer, "perfsim.actual_runtime")
     _patch(ChainTelemetry, "record_proposal", tracer, "telemetry.record")
-    _patch(Validator, "validate", tracer, "verifier.validate", validated)
+    _patch(Validator, "validate", tracer, "verifier.validate")
     _patch(SymbolicExecutor, "run", tracer, "verifier.symbolic")
     _patch(BVSolver, "check", tracer, "smt.check")
     _patch(BitBlaster, "assert_true", tracer, "smt.bitblast")
@@ -245,38 +237,39 @@ def _subclasses(cls) -> list[type]:
     return found
 
 
-def layer_metrics(serial: Tracer, coordinator: Tracer,
-                  evaluator_delta: dict[str, int]) -> dict[str, float]:
+def layer_metrics(tracer: Tracer, evaluator_delta: dict[str, int],
+                  round_counts: dict) -> dict[str, float]:
     """The per-layer metrics of one traced round.
 
-    ``serial`` traced every layer of a same-process round;
-    ``coordinator`` traced the engine side of the parallel round (the
-    two are the same tracer for a workload without an engine).
+    Validator facts (refutations, short circuits, CNF size) come from
+    the round's exact counts, which read them off each query's result.
+    In a parallel round ``run.py`` takes the engine metrics from the
+    coordinator's tracer instead (``COORDINATOR_METRICS``).
     """
-    s, c = serial, coordinator
-    counts = s.counts
-    proposals = s.calls["search.propose"]
-    evaluations = s.calls["cost.evaluate"]
-    validations = s.calls["verifier.validate"]
+    t = tracer
+    counts = t.counts
+    proposals = t.calls["search.propose"]
+    evaluations = t.calls["cost.evaluate"]
+    validations = t.calls["verifier.validate"]
     return {
-        "search.propose_s": s.seconds("search.propose"),
+        "search.propose_s": t.seconds("search.propose"),
         "search.propose_calls": proposals,
-        "search.chain_self_s": s.self_seconds("search.chain"),
+        "search.chain_self_s": t.self_seconds("search.chain"),
         "search.accept_ratio": _ratio(counts["search.accepted"],
                                       counts["search.proposals"]),
-        "cost.evaluate_s": s.seconds("cost.evaluate"),
+        "cost.evaluate_s": t.seconds("cost.evaluate"),
         "cost.evaluate_calls": evaluations,
-        "cost.correctness_s": s.seconds("cost.correctness"),
-        "cost.static_terms_s": s.seconds("cost.static_terms"),
+        "cost.correctness_s": t.seconds("cost.correctness"),
+        "cost.static_terms_s": t.seconds("cost.static_terms"),
         "cost.testcases_per_eval": _ratio(counts["cost.testcases"],
                                           evaluations),
         "cost.early_exit_ratio": _ratio(counts["cost.early_exits"],
                                         evaluations),
-        "emulator.compile_program_s": s.seconds("emulator.compile_program"),
+        "emulator.compile_program_s": t.seconds("emulator.compile_program"),
         "emulator.compile_program_calls":
-            s.calls["emulator.compile_program"],
-        "emulator.compiled_run_s": s.seconds("emulator.compiled_run"),
-        "emulator.compiled_run_calls": s.calls["emulator.compiled_run"],
+            t.calls["emulator.compile_program"],
+        "emulator.compiled_run_s": t.seconds("emulator.compiled_run"),
+        "emulator.compiled_run_calls": t.calls["emulator.compiled_run"],
         "emulator.tier_ups": evaluator_delta.get("tier_ups", 0),
         "emulator.structural_hits": evaluator_delta.get("structural_hits",
                                                         0),
@@ -284,33 +277,33 @@ def layer_metrics(serial: Tracer, coordinator: Tracer,
         "emulator.fallback_steps": (
             evaluator_delta.get("cold_fallbacks", 0)
             + evaluator_delta.get("uncompilable_fallbacks", 0)),
-        "testgen.generate_s": s.seconds("testgen.generate"),
-        "testgen.undo_writes_s": s.seconds("testgen.undo_writes"),
-        "perfsim.actual_runtime_s": s.seconds("perfsim.actual_runtime"),
-        "telemetry.record_s": s.seconds("telemetry.record"),
-        "verifier.validate_s": s.seconds("verifier.validate"),
+        "testgen.generate_s": t.seconds("testgen.generate"),
+        "testgen.undo_writes_s": t.seconds("testgen.undo_writes"),
+        "perfsim.actual_runtime_s": t.seconds("perfsim.actual_runtime"),
+        "telemetry.record_s": t.seconds("telemetry.record"),
+        "verifier.validate_s": t.seconds("verifier.validate"),
         "verifier.validate_calls": validations,
-        "verifier.symbolic_s": s.seconds("verifier.symbolic"),
+        "verifier.symbolic_s": t.seconds("verifier.symbolic"),
         "verifier.short_circuit_ratio": _ratio(
-            counts["verifier.short_circuits"], validations),
-        "verifier.refuted_ratio": _ratio(counts["verifier.refuted"],
+            round_counts["short_circuits"], validations),
+        "verifier.refuted_ratio": _ratio(round_counts["refuted"],
                                          validations),
-        "smt.bitblast_s": s.seconds("smt.bitblast"),
-        "smt.sat_s": s.seconds("smt.sat"),
-        "smt.sat_calls": s.calls["smt.sat"],
-        "smt.cnf_vars": counts["smt.cnf_vars"],
-        "smt.cnf_clauses": counts["smt.cnf_clauses"],
-        "engine.run_chain_job_s": s.seconds("engine.run_chain_job"),
-        "engine.wait_s": c.seconds("engine.wait"),
-        "engine.submit_s": c.seconds("engine.submit"),
-        "engine.decode_s": c.seconds("engine.decode"),
-        "engine.journal_s": c.seconds("engine.journal"),
-        "engine.journal_records": c.calls["engine.journal"],
-        "engine.retries": c.calls["engine.retries"],
-        "engine.quarantined": c.calls["engine.quarantined"],
-        "engine.frames": c.counts["engine.frames"],
-        "engine.frame_bytes": c.counts["engine.frame_bytes"],
-        "engine.transport_s": c.seconds("engine.transport"),
+        "smt.bitblast_s": t.seconds("smt.bitblast"),
+        "smt.sat_s": t.seconds("smt.sat"),
+        "smt.sat_calls": t.calls["smt.sat"],
+        "smt.cnf_vars": round_counts["cnf_vars"],
+        "smt.cnf_clauses": round_counts["cnf_clauses"],
+        "engine.run_chain_job_s": t.seconds("engine.run_chain_job"),
+        "engine.wait_s": t.seconds("engine.wait"),
+        "engine.submit_s": t.seconds("engine.submit"),
+        "engine.decode_s": t.seconds("engine.decode"),
+        "engine.journal_s": t.seconds("engine.journal"),
+        "engine.journal_records": t.calls["engine.journal"],
+        "engine.retries": t.calls["engine.retries"],
+        "engine.quarantined": t.calls["engine.quarantined"],
+        "engine.frames": counts["engine.frames"],
+        "engine.frame_bytes": counts["engine.frame_bytes"],
+        "engine.transport_s": t.seconds("engine.transport"),
     }
 
 

@@ -23,15 +23,19 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-#: Kernels of each search workload, in campaign order.
+#: Kernels of each search workload, in campaign order. ``promote``
+#: takes kernels whose promotions validate in under about 1.3 s each
+#: (8 seeds x 10 chains per kernel): a p03 chain drew a 20 s query and
+#: a p14 one a 12 s query, and a round's wall time would follow such
+#: draws, not the program.
 SEARCH_KERNELS = {
     "campaign": ("p01", "p03", "p14", "p18", "p21"),
-    "promote": ("p01", "p03", "p06", "p14"),
+    "promote": ("p01", "p02", "p04", "p05", "p06", "p07"),
 }
 #: ``campaign``: chains per kernel, and the share of the suite runner's
 #: per-chain proposal budget each chain runs.
 CAMPAIGN_CHAINS = 2
-CAMPAIGN_BUDGET_SHARE = 0.06
+CAMPAIGN_BUDGET_SHARE = 0.04
 #: ``promote``: many short single-segment chains per kernel.
 PROMOTE_CHAINS = 10
 PROMOTE_PROPOSALS = 300
@@ -45,6 +49,18 @@ MUTANTS_PER_KERNEL = 2
 MUTANT_CONFLICTS = 300
 #: Testcases per kernel for screening and for the output checks.
 CHECK_TESTCASES = 32
+#: Listing pairs left out of ``verify``: the mont/icc proof alone took
+#: 31 of a round's 45 s (2 vCPUs), one long sample whose time follows
+#: the host's drift over half a minute, not the program. mont/gcc (a
+#: spurious refutation) stays.
+SKIPPED_PAIRS = frozenset({("mont", "icc")})
+
+
+def planned_chains(workload: str) -> int:
+    """Chains one round of a search workload schedules."""
+    per_kernel = (CAMPAIGN_CHAINS if workload == "campaign"
+                  else PROMOTE_CHAINS)
+    return per_kernel * len(SEARCH_KERNELS[workload])
 
 
 def derive(seed: int, *parts) -> int:
@@ -296,6 +312,10 @@ def _read_verdicts(verdict_dir: Path, counts: dict, out: Outcome) -> None:
             f"campaign reports {counts['validations']}")
     counts["cnf_vars"] = sum(r.get("vars", 0) for r in records)
     counts["cnf_clauses"] = sum(r.get("clauses", 0) for r in records)
+    counts["refuted"] = sum(r["verdict"] == "refuted" for r in records)
+    # the simplifier folded the difference to 0: no CNF was built
+    counts["short_circuits"] = sum(
+        r["verdict"] == "proven" and not r["vars"] for r in records)
     for record in records:
         out.attempted += 1
         out.verdict_ms.append(record["ms"])
@@ -317,7 +337,8 @@ def verify_round(seed: int, index: int, *, marks: Marks) -> Outcome:
     """Validator queries with known answers, without search or engine.
 
     First every suite kernel's O0 listing against its gcc and icc
-    listings, then seeded single-move mutants of the p01-p25 gcc
+    listings (but :data:`SKIPPED_PAIRS`), then seeded single-move
+    mutants of the p01-p25 gcc
     listings. Mutants are drawn with the search's move generator and
     screened on the kernel's testcases with the cost function; half of
     each kernel's queries pass every testcase (only the validator can
@@ -336,7 +357,8 @@ def verify_round(seed: int, index: int, *, marks: Marks) -> Outcome:
 
     benches = all_benchmarks()
     queries = [(bench, kind, getattr(bench, kind).compact())
-               for bench in benches for kind in ("gcc", "icc")]
+               for bench in benches for kind in ("gcc", "icc")
+               if (bench.name, kind) not in SKIPPED_PAIRS]
     for bench in benches:
         bench.o0                         # parse and lower up front
     out = Outcome()
@@ -384,10 +406,12 @@ def verify_round(seed: int, index: int, *, marks: Marks) -> Outcome:
                 queries.append((bench, "mutant", pool[key]))
                 ask(bench, pool[key], validator)
     marks.mark_done()
-    # the median kernel: a mutant that loops to the step limit makes
-    # its kernel's screening slow, whatever the host
-    out.proposals_per_s = statistics.median(rates)
+    # the geometric mean over kernels: kernels differ in size, and a
+    # mutant that loops to the step limit makes its kernel's screening
+    # slow, whatever the host (a median jumps between kernels by seed)
+    out.proposals_per_s = statistics.geometric_mean(rates)
     _check_verdicts(seed, index, queries, results, out)
+    answers = [r for r in results if not isinstance(r, Exception)]
     out.counts = {
         "queries": len(queries),
         "screened": len(rates) * SCREENED_PER_KERNEL,
@@ -396,12 +420,12 @@ def verify_round(seed: int, index: int, *, marks: Marks) -> Outcome:
                            for _b, kind, rewrite in queries
                            if kind == "mutant"]),
         "verdicts": dict(sorted(out.incomplete.items())),
-        "proofs": sum(1 for r in results
-                      if not isinstance(r, Exception) and r.equivalent),
-        "cnf_vars": sum(r.num_vars for r in results
-                        if not isinstance(r, Exception)),
-        "cnf_clauses": sum(r.num_clauses for r in results
-                           if not isinstance(r, Exception)),
+        "proofs": sum(r.equivalent for r in answers),
+        "refuted": sum(not r.equivalent for r in answers),
+        "short_circuits": sum(r.equivalent and not r.num_vars
+                              for r in answers),
+        "cnf_vars": sum(r.num_vars for r in answers),
+        "cnf_clauses": sum(r.num_clauses for r in answers),
     }
     return out
 
@@ -420,9 +444,11 @@ def _check_verdicts(seed: int, index: int, queries, results,
             out.note_verdict(replay_refutation(
                 bench.o0, rewrite, bench.spec, result.counterexample))
             continue
+        # seeded apart from the mutants' screening testcases, which
+        # every passing mutant matches by construction
         if bench.name not in testcases:
             testcases[bench.name] = _testcases(
-                bench, derive(seed, index, bench.name, "tests"))
+                bench, derive(seed, index, bench.name, "check"))
         if not all(outputs_match(rewrite, tc)
                    for tc in testcases[bench.name]):
             out.hard_failures.append(
