@@ -206,9 +206,7 @@ class CostFunction:
                     testcase.undo_writes(state, *dirty)
                 # recorded before running: a partial run (fault, step
                 # limit) dirties a subset of the static write-set
-                self._pool_dirty[index] = (compiled.regs_written,
-                                           compiled.flags_written,
-                                           compiled.writes_memory)
+                self._pool_dirty[index] = compiled.write_set
                 compiled.run(state, testcase.sandbox(),
                              max_steps=self.max_steps)
             else:

@@ -15,12 +15,22 @@ Crucially, lowering is driven by the *same* ``execute()`` definition the
 reference emulator and the symbolic validator interpret: compilation
 runs the shared semantics once against a recording
 :class:`~repro.x86.semantics.Machine` whose algebra emits straight-line
-Python source instead of computing values; the finished function is
-``exec``-ed once and cached. Constant subexpressions fold at compile
-time; reads, writes and sandbox events are emitted in exactly the order
-the reference performs them, so final states — including the Eq. 11
-event counters — are bit-identical (``tests/emulator/test_compile.py``
-checks this differentially over the whole suite).
+Python source instead of computing values. Constant subexpressions fold
+at compile time; reads, writes and sandbox events are emitted in
+exactly the order the reference performs them, so final states —
+including the Eq. 11 event counters — are bit-identical
+(``tests/emulator/test_compile.py`` checks this differentially over the
+whole suite).
+
+The recorder writes every instruction-dependent literal (register and
+flag names, masks, folded constants) as a parameter, so what it records
+is a *skeleton*: ``add rax, rbx`` and ``add rcx, rdx`` record the same
+text. Each distinct skeleton is ``exec``-ed once into a factory
+``_make(c0, c1, ...)`` returning the step; an instruction whose skeleton
+was seen before only calls the cached factory with its own literals.
+Recording still specializes exactly (``xor r, r``, a zero shift count),
+because two instructions share a factory only if they recorded
+identical text.
 
 Instructions whose semantics branch on runtime values in ways the
 recorder cannot express (``div``/``idiv``, shifts and rotates with a
@@ -33,6 +43,8 @@ Compiled steps are cached on the :class:`Instruction` instances
 themselves (a proposal shares all but one instruction object with its
 predecessor) with a structural second-level cache behind them, so the
 steady-state compile cost of a proposal is one dictionary hit per slot.
+Each instruction also caches its slot kind and write mask, so lowering a
+program is one pass over its slots.
 """
 
 from __future__ import annotations
@@ -46,7 +58,8 @@ from repro.errors import StepLimitExceeded
 from repro.x86.algebra import INT_ALGEBRA, mask, to_signed
 from repro.x86.instruction import Instruction, is_unused
 from repro.x86.program import Program
-from repro.x86.registers import RegClass, Register
+from repro.x86.registers import (FLAG_NAMES, GPR64, XMM, RegClass,
+                                 Register)
 from repro.x86.semantics import cc_value, execute
 
 _M64 = (1 << 64) - 1
@@ -77,12 +90,37 @@ class _SourceBuilder:
     step function. Every state access appends one (or a few) source
     lines; the finished function replays the reference emulator's exact
     sequence of reads, writes and sandbox events for one instruction.
+
+    Every instruction-dependent literal (register and flag names,
+    masks, folded constants such as displacements, shift counts,
+    definedness bit patterns, the address wrap mask) is written as a
+    parameter ``c0, c1, ...`` through :meth:`_lit`, so the recorded text
+    is the instruction's *skeleton*: ``add rax, rbx`` and ``add rcx,
+    rdx`` record the same text and differ only in :attr:`consts`. The
+    byte index and shift of each byte of a memory access stay literal:
+    the access width, already spelled out by the number of lines, fixes
+    them, and lifting them would let them alias a displacement.
     """
 
     def __init__(self) -> None:
         self.alg = self            # semantics reach the algebra via m.alg
         self.lines: list[str] = []
+        self.consts: list[int | str] = []
+        self._params: dict[tuple[type, int | str], str] = {}
         self._counter = 0
+
+    def _lit(self, value: int | str) -> str:
+        """The parameter name standing for one literal, deduplicated."""
+        key = (type(value), value)
+        name = self._params.get(key)
+        if name is None:
+            name = f"c{len(self.consts)}"
+            self._params[key] = name
+            self.consts.append(value)
+        return name
+
+    def _mask(self, width: int) -> str:
+        return self._lit(mask(width))
 
     def _slot(self, expr: str) -> int:
         k = self._counter
@@ -96,13 +134,12 @@ class _SourceBuilder:
 
     def _ref(self, v) -> str:
         if type(v) is _Const:
-            return repr(v.value)
+            return self._lit(v.value)
         return f"v{v}"
 
-    @staticmethod
-    def _signed(ref: str, width: int) -> str:
+    def _signed(self, ref: str, width: int) -> str:
         """Inline two's-complement reinterpretation of a masked value."""
-        sign = 1 << (width - 1)
+        sign = self._lit(1 << (width - 1))
         return f"({ref} - (({ref} & {sign}) << 1))"
 
     # -- algebra: arithmetic ------------------------------------------------
@@ -114,24 +151,24 @@ class _SourceBuilder:
         if type(a) is _Const and type(b) is _Const:
             return _Const((a.value + b.value) & mask(width))
         return self._slot(
-            f"({self._ref(a)} + {self._ref(b)}) & {mask(width)}")
+            f"({self._ref(a)} + {self._ref(b)}) & {self._mask(width)}")
 
     def sub(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const((a.value - b.value) & mask(width))
         return self._slot(
-            f"({self._ref(a)} - {self._ref(b)}) & {mask(width)}")
+            f"({self._ref(a)} - {self._ref(b)}) & {self._mask(width)}")
 
     def mul(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const((a.value * b.value) & mask(width))
         return self._slot(
-            f"({self._ref(a)} * {self._ref(b)}) & {mask(width)}")
+            f"({self._ref(a)} * {self._ref(b)}) & {self._mask(width)}")
 
     def neg(self, width: int, a):
         if type(a) is _Const:
             return _Const((-a.value) & mask(width))
-        return self._slot(f"(-{self._ref(a)}) & {mask(width)}")
+        return self._slot(f"(-{self._ref(a)}) & {self._mask(width)}")
 
     # -- algebra: division (a runtime divisor raises _CannotCompile in
     # known_zero first, so these never divide by zero) ----------------------
@@ -149,14 +186,14 @@ class _SourceBuilder:
     def sdiv(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const(INT_ALGEBRA.sdiv(width, a.value, b.value))
-        return self._slot(
-            f"_sdiv({width}, {self._ref(a)}, {self._ref(b)})")
+        return self._slot(f"_sdiv({self._lit(width)}, {self._ref(a)}, "
+                          f"{self._ref(b)})")
 
     def srem(self, width: int, a, b):
         if type(a) is _Const and type(b) is _Const:
             return _Const(INT_ALGEBRA.srem(width, a.value, b.value))
-        return self._slot(
-            f"_srem({width}, {self._ref(a)}, {self._ref(b)})")
+        return self._slot(f"_srem({self._lit(width)}, {self._ref(a)}, "
+                          f"{self._ref(b)})")
 
     # -- algebra: bitwise ---------------------------------------------------
 
@@ -178,7 +215,7 @@ class _SourceBuilder:
     def not_(self, width: int, a):
         if type(a) is _Const:
             return _Const(~a.value & mask(width))
-        return self._slot(f"~{self._ref(a)} & {mask(width)}")
+        return self._slot(f"~{self._ref(a)} & {self._mask(width)}")
 
     # -- algebra: shifts ----------------------------------------------------
 
@@ -189,10 +226,11 @@ class _SourceBuilder:
                 return _Const(0)
             if type(a) is _Const:
                 return _Const((a.value << c) & mask(width))
-            return self._slot(f"({self._ref(a)} << {c}) & {mask(width)}")
+            return self._slot(f"({self._ref(a)} << {self._lit(c)}) & "
+                              f"{self._mask(width)}")
         c = self._ref(count)
-        return self._slot(f"0 if {c} >= {width} else "
-                          f"({self._ref(a)} << {c}) & {mask(width)}")
+        return self._slot(f"0 if {c} >= {self._lit(width)} else "
+                          f"({self._ref(a)} << {c}) & {self._mask(width)}")
 
     def lshr(self, width: int, a, count):
         if type(count) is _Const:
@@ -201,21 +239,22 @@ class _SourceBuilder:
                 return _Const(0)
             if type(a) is _Const:
                 return _Const(a.value >> c)
-            return self._slot(f"{self._ref(a)} >> {c}")
+            return self._slot(f"{self._ref(a)} >> {self._lit(c)}")
         c = self._ref(count)
-        return self._slot(
-            f"0 if {c} >= {width} else {self._ref(a)} >> {c}")
+        return self._slot(f"0 if {c} >= {self._lit(width)} else "
+                          f"{self._ref(a)} >> {c}")
 
     def ashr(self, width: int, a, count):
         if type(count) is _Const and type(a) is _Const:
             return _Const(INT_ALGEBRA.ashr(width, a.value, count.value))
         signed = self._signed(self._ref(a), width)
         if type(count) is _Const:
-            c: str | int = min(count.value, width - 1)
+            c = self._lit(min(count.value, width - 1))
         else:
             cr = self._ref(count)
-            c = f"({cr} if {cr} < {width - 1} else {width - 1})"
-        return self._slot(f"({signed} >> {c}) & {mask(width)}")
+            top = self._lit(width - 1)
+            c = f"({cr} if {cr} < {top} else {top})"
+        return self._slot(f"({signed} >> {c}) & {self._mask(width)}")
 
     # -- algebra: comparisons -----------------------------------------------
 
@@ -252,17 +291,18 @@ class _SourceBuilder:
         if type(a) is _Const:
             return _Const((a.value >> lo) & m)
         if lo == 0:
-            return self._slot(f"{self._ref(a)} & {m}")
-        return self._slot(f"({self._ref(a)} >> {lo}) & {m}")
+            return self._slot(f"{self._ref(a)} & {self._lit(m)}")
+        return self._slot(
+            f"({self._ref(a)} >> {self._lit(lo)}) & {self._lit(m)}")
 
     def concat(self, hi_width: int, hi, lo_width: int, lo):
         if type(hi) is _Const and type(lo) is _Const:
             return _Const((hi.value << lo_width) | lo.value)
         if type(hi) is _Const:
             return self._slot(
-                f"{hi.value << lo_width} | {self._ref(lo)}")
-        return self._slot(
-            f"({self._ref(hi)} << {lo_width}) | {self._ref(lo)}")
+                f"{self._lit(hi.value << lo_width)} | {self._ref(lo)}")
+        return self._slot(f"({self._ref(hi)} << {self._lit(lo_width)}) | "
+                          f"{self._ref(lo)}")
 
     def zext(self, from_width: int, to_width: int, a):
         return a                      # values are unsigned ints already
@@ -271,7 +311,7 @@ class _SourceBuilder:
         if type(a) is _Const:
             return _Const(to_signed(from_width, a.value) & mask(to_width))
         signed = self._signed(self._ref(a), from_width)
-        return self._slot(f"{signed} & {mask(to_width)}")
+        return self._slot(f"{signed} & {self._mask(to_width)}")
 
     def popcount(self, width: int, a):
         if type(a) is _Const:
@@ -281,43 +321,46 @@ class _SourceBuilder:
     # -- Machine protocol: state accesses -----------------------------------
 
     def read_full(self, name: str):
-        return self._slot(f"regs[{name!r}]")
+        return self._slot(f"regs[{self._lit(name)}]")
 
     def write_full(self, name: str, value) -> None:
-        self.lines.append(f"regs[{name!r}] = {self._ref(value)}")
+        self.lines.append(f"regs[{self._lit(name)}] = {self._ref(value)}")
 
     def check_reg_defined(self, reg: Register) -> None:
-        needed = (1 << reg.byte_width) - 1
+        needed = self._lit((1 << reg.byte_width) - 1)
         self.lines.append(
-            f"if rdef[{reg.full!r}] & {needed} != {needed}: "
+            f"if rdef[{self._lit(reg.full)}] & {needed} != {needed}: "
             "events.undef += 1")
 
     def mark_reg_defined(self, reg: Register) -> None:
+        full = self._lit(reg.full)
         if reg.reg_class is RegClass.GPR and reg.width == 32:
-            self.lines.append(f"rdef[{reg.full!r}] = 255")
+            self.lines.append(f"rdef[{full}] = {self._lit(255)}")
         else:
-            bits = (1 << reg.byte_width) - 1
-            self.lines.append(f"rdef[{reg.full!r}] |= {bits}")
+            bits = self._lit((1 << reg.byte_width) - 1)
+            self.lines.append(f"rdef[{full}] |= {bits}")
 
     def read_flag(self, name: str):
-        self.lines.append(
-            f"if not fdef[{name!r}]: events.undef += 1")
-        return self._slot(f"flags[{name!r}]")
+        flag = self._lit(name)
+        self.lines.append(f"if not fdef[{flag}]: events.undef += 1")
+        return self._slot(f"flags[{flag}]")
 
     def write_flag(self, name: str, value) -> None:
-        self.lines.append(f"flags[{name!r}] = {self._ref(value)}")
-        self.lines.append(f"fdef[{name!r}] = True")
+        flag = self._lit(name)
+        self.lines.append(f"flags[{flag}] = {self._ref(value)}")
+        self.lines.append(f"fdef[{flag}] = True")
 
     def set_flag_undefined(self, name: str) -> None:
-        self.lines.append(f"fdef[{name!r}] = False")
+        self.lines.append(f"fdef[{self._lit(name)}] = False")
 
     def read_mem(self, addr, nbytes: int):
         a = self._ref(addr)
+        m64 = self._lit(_M64)
         k = self._slot("0")
         lines = self.lines
         for i in range(nbytes):
             t = self._tmp()
-            lines.append(f"{t} = ({a} + {i}) & {_M64}")
+            lines.append(f"{t} = ({a} + {i}) & {m64}")
             lines.append(f"if check({t}):")
             lines.append(f"    {t} = mem.get({t})")
             lines.append(f"    if {t} is None: events.undef += 1")
@@ -329,10 +372,11 @@ class _SourceBuilder:
     def write_mem(self, addr, nbytes: int, value) -> None:
         a = self._ref(addr)
         v = self._ref(value)
+        m64 = self._lit(_M64)
         lines = self.lines
         for i in range(nbytes):
             t = self._tmp()
-            lines.append(f"{t} = ({a} + {i}) & {_M64}")
+            lines.append(f"{t} = ({a} + {i}) & {m64}")
             lines.append(f"if check({t}): "
                          f"mem[{t}] = ({v} >> {8 * i}) & 255")
             lines.append("else: events.sigsegv += 1")
@@ -347,33 +391,53 @@ class _SourceBuilder:
 
     # -- assembly -----------------------------------------------------------
 
-    _PREAMBLE = (("regs", "regs = s.regs"),
-                 ("rdef", "rdef = s.reg_defined"),
-                 ("flags", "flags = s.flags"),
-                 ("fdef", "fdef = s.flag_defined"),
-                 ("mem", "mem = s.memory"),
-                 ("events", "events = s.events"),
-                 ("check", "check = box.check"))
-
     def build(self, result=None) -> Step:
-        """Exec the recorded source into a step function.
+        """The step function for the recorded source.
 
         With ``result``, the function returns that value's expression
-        (used for compiled condition codes).
+        (used for compiled condition codes). The text is looked up in
+        the skeleton cache; only a text never seen before is ``exec``-ed
+        (into a factory taking the literals as parameters), every other
+        instruction just binds its own literals to the cached factory.
         """
-        text = "\n".join(self.lines)
-        body = [line for name, line in self._PREAMBLE if name in text]
-        body += self.lines
         if result is not None:
-            body.append(f"return {self._ref(result)}")
-        if not body:
-            body = ["pass"]
-        source = "def _step(s, box):\n" + \
-            "".join(f"    {line}\n" for line in body)
-        namespace = {"_sdiv": INT_ALGEBRA.sdiv, "_srem": INT_ALGEBRA.srem}
-        exec(compile(source, "<repro-compiled>", "exec"),  # noqa: S102
-             namespace)
-        return namespace["_step"]
+            self.lines.append(f"return {self._ref(result)}")
+        text = "\n".join(self.lines)
+        key = (len(self.consts), text)
+        factory = _SKELETONS.get(key)
+        if factory is None:
+            if len(_SKELETONS) >= _STRUCTURAL_CACHE_LIMIT:
+                _SKELETONS.clear()
+            factory = _exec_skeleton(text, len(self.consts))
+            _SKELETONS[key] = factory
+            COUNTERS.skeletons_compiled += 1
+        return factory(*self.consts)
+
+
+_PREAMBLE = (("regs", "regs = s.regs"),
+             ("rdef", "rdef = s.reg_defined"),
+             ("flags", "flags = s.flags"),
+             ("fdef", "fdef = s.flag_defined"),
+             ("mem", "mem = s.memory"),
+             ("events", "events = s.events"),
+             ("check", "check = box.check"))
+
+
+def _exec_skeleton(text: str, nconsts: int) -> Callable[..., Step]:
+    """``exec`` one skeleton into a factory: literals in, step out."""
+    body = [line for name, line in _PREAMBLE if name in text]
+    body += text.splitlines()
+    if not body:
+        body = ["pass"]
+    params = ", ".join(f"c{k}" for k in range(nconsts))
+    source = (f"def _make({params}):\n"
+              "    def _step(s, box):\n" +
+              "".join(f"        {line}\n" for line in body) +
+              "    return _step\n")
+    namespace = {"_sdiv": INT_ALGEBRA.sdiv, "_srem": INT_ALGEBRA.srem}
+    exec(compile(source, "<repro-compiled>", "exec"),  # noqa: S102
+         namespace)
+    return namespace["_make"]
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +476,14 @@ class _EvaluatorCounters:
     """
 
     __slots__ = ("instance_hits", "structural_hits", "tier_ups",
-                 "cold_fallbacks", "uncompilable_fallbacks",
-                 "programs_compiled")
+                 "skeletons_compiled", "cold_fallbacks",
+                 "uncompilable_fallbacks", "programs_compiled")
 
     def __init__(self) -> None:
         self.instance_hits = 0          # step cached on the instruction
         self.structural_hits = 0        # equal instruction seen before
         self.tier_ups = 0               # interpretive -> compiled step
+        self.skeletons_compiled = 0     # step texts exec-ed (cache misses)
         self.cold_fallbacks = 0         # below the hot threshold
         self.uncompilable_fallbacks = 0  # semantics defeated the recorder
         self.programs_compiled = 0      # CompiledProgram constructions
@@ -441,6 +506,10 @@ def evaluator_counters() -> dict[str, int]:
 
 _STRUCTURAL_CACHE: dict[tuple, Step] = {}
 _STRUCTURAL_CACHE_LIMIT = 1 << 16
+
+#: Step factories keyed by ``(len(consts), text)`` of the recorded
+#: skeleton; many instructions (and every condition code) share one.
+_SKELETONS: dict[tuple[int, str], Callable[..., Step]] = {}
 
 #: Sightings before an instruction is worth ``exec``-ing a step for.
 #: Random proposals draw many one-shot instructions; interpreting an
@@ -515,6 +584,56 @@ def _compiled_cc(cc: str) -> Callable[[MachineState, Sandbox], int]:
 
 _STRAIGHT, _JMP, _JCC = 0, 1, 2
 
+#: What a slot is, cached per instruction with its write mask.
+_SLOT_UNUSED, _SLOT_JUMP, _SLOT_STRAIGHT = 0, 1, 2
+
+#: Write-mask bits: bit 0 for memory, one bit per full register and
+#: per flag above it. Sets decode in this fixed order.
+_FULL_REGS = tuple(reg.full for reg in GPR64 + XMM)
+_WRITE_BIT = {name: 2 << i for i, name in enumerate(_FULL_REGS + FLAG_NAMES)}
+_MEMORY_BIT = 1
+
+#: A write set: (full registers, flags, writes memory).
+WriteSet = tuple[tuple[str, ...], tuple[str, ...], bool]
+
+_WRITE_SETS: dict[int, WriteSet] = {}
+
+
+def _slot_shape(instr: Instruction) -> tuple[int, int]:
+    """Work out and cache ``(kind, write_mask)`` of one slot.
+
+    The mask is the ISA table's def/use metadata (full registers,
+    flags, memory), so it covers fallback-interpreted instructions too;
+    jumps and UNUSED write nothing.
+    """
+    if is_unused(instr):
+        shape = (_SLOT_UNUSED, 0)
+    elif instr.is_jump:
+        shape = (_SLOT_JUMP, 0)
+    else:
+        bits = _MEMORY_BIT if instr.writes_memory else 0
+        for reg in instr.regs_written:
+            bits |= _WRITE_BIT[reg.full]
+        for flag in instr.flags_written:
+            bits |= _WRITE_BIT[flag]
+        shape = (_SLOT_STRAIGHT, bits)
+    instr.__dict__["_slot_shape"] = shape
+    return shape
+
+
+def _write_set(bits: int) -> WriteSet:
+    """The write set an OR of slot write masks stands for."""
+    write_set = _WRITE_SETS.get(bits)
+    if write_set is None:
+        write_set = (
+            tuple(name for name in _FULL_REGS if bits & _WRITE_BIT[name]),
+            tuple(name for name in FLAG_NAMES if bits & _WRITE_BIT[name]),
+            bool(bits & _MEMORY_BIT))
+        if len(_WRITE_SETS) >= _STRUCTURAL_CACHE_LIMIT:
+            _WRITE_SETS.clear()
+        _WRITE_SETS[bits] = write_set
+    return write_set
+
 
 class CompiledProgram:
     """A candidate lowered to specialized steps, ready to amortize.
@@ -523,61 +642,39 @@ class CompiledProgram:
     moves never introduce jumps) execute as one flat step list;
     programs with jumps run a per-slot trampoline whose targets were
     resolved against the label table at compile time.
+
+    :attr:`write_set` is the static over-approximation of what a run
+    may dirty. It lets a pooled state be reset by undoing exactly these
+    writes (:meth:`~repro.testgen.testcase.Testcase.undo_writes`)
+    instead of rebuilding every register and flag from the prototype;
+    partial runs (faults, step limits) only ever dirty a subset.
     """
 
-    __slots__ = ("steps", "units", "slots", "regs_written",
-                 "flags_written", "writes_memory")
+    __slots__ = ("steps", "units", "slots", "write_set")
 
     def __init__(self, prog: Program) -> None:
-        self.slots = len(prog.code)
-        self._record_write_set(prog)
-        if not prog.has_jumps():
+        code = prog.code
+        self.slots = len(code)
+        bits = 0
+        jumps = False
+        slot_steps: list[Step | None] = []
+        for instr in code:
+            shape = instr.__dict__.get("_slot_shape") or _slot_shape(instr)
+            if shape[0] == _SLOT_STRAIGHT:
+                bits |= shape[1]
+                slot_steps.append(compiled_step(instr))
+            else:
+                jumps = jumps or shape[0] == _SLOT_JUMP
+                slot_steps.append(None)
+        self.write_set = _write_set(bits)
+        if not jumps:
             self.steps: tuple[Step, ...] | None = tuple(
-                compiled_step(instr) for instr in prog.code
-                if not is_unused(instr))
+                filter(None, slot_steps))
             self.units: tuple[tuple, ...] = ()
             return
         self.steps = None
-        units: list[tuple] = []
-        for instr in prog.code:
-            if is_unused(instr):
-                units.append((_STRAIGHT, None))
-            elif instr.is_jump:
-                target = instr.jump_target
-                assert target is not None
-                target_pc = prog.labels[target]
-                if instr.opcode.family == "jmp":
-                    units.append((_JMP, target_pc))
-                else:
-                    cc = instr.opcode.cc
-                    assert cc is not None
-                    units.append((_JCC, _compiled_cc(cc), target_pc))
-            else:
-                units.append((_STRAIGHT, compiled_step(instr)))
-        self.units = tuple(units)
-
-    def _record_write_set(self, prog: Program) -> None:
-        """The static over-approximation of what a run may dirty.
-
-        Lets a pooled state be reset by undoing exactly these writes
-        (:meth:`~repro.testgen.testcase.Testcase.undo_writes`) instead
-        of rebuilding every register and flag from the prototype. The
-        sets come from the ISA table's def/use metadata, so they cover
-        fallback-interpreted instructions too; partial runs (faults,
-        step limits) only ever dirty a subset.
-        """
-        regs: set[str] = set()
-        flags: set[str] = set()
-        writes_memory = False
-        for instr in prog.code:
-            if is_unused(instr) or instr.is_jump:
-                continue
-            regs.update(reg.full for reg in instr.regs_written)
-            flags.update(instr.flags_written)
-            writes_memory = writes_memory or instr.writes_memory
-        self.regs_written = tuple(regs)
-        self.flags_written = tuple(flags)
-        self.writes_memory = writes_memory
+        self.units = tuple(_unit(prog, instr, step)
+                           for instr, step in zip(code, slot_steps))
 
     def run(self, state: MachineState, sandbox: Sandbox, *,
             max_steps: int = 10_000) -> MachineState:
@@ -608,6 +705,20 @@ class CompiledProgram:
             else:
                 pc = unit[2] if unit[1](state, sandbox) else pc + 1
         return state
+
+
+def _unit(prog: Program, instr: Instruction, step: Step | None) -> tuple:
+    """One trampoline entry of a program with jumps."""
+    if not instr.is_jump:
+        return (_STRAIGHT, step)
+    target = instr.jump_target
+    assert target is not None
+    target_pc = prog.labels[target]
+    if instr.opcode.family == "jmp":
+        return (_JMP, target_pc)
+    cc = instr.opcode.cc
+    assert cc is not None
+    return (_JCC, _compiled_cc(cc), target_pc)
 
 
 def compile_program(prog: Program) -> CompiledProgram:

@@ -31,7 +31,7 @@ from repro.testgen.annotations import (Annotations, ConstantInput,
                                        RandomInput, RangeInput)
 from repro.testgen.testcase import Testcase
 from repro.verifier.validator import LiveSpec
-from repro.x86.instruction import UNUSED, is_unused
+from repro.x86.instruction import UNUSED, Instruction, is_unused
 from repro.x86.operands import Mem
 from repro.x86.parser import parse_instruction
 from repro.x86.program import Program
@@ -50,8 +50,25 @@ def program_to_json(prog: Program) -> Json:
     }
 
 
+#: Decoded instructions by slot text. A chain payload repeats the same
+#: few hundred texts across every program it carries; instructions are
+#: immutable and their caches structural, so decoded programs share them.
+_DECODED: dict[str, Instruction] = {}
+_DECODED_LIMIT = 1 << 16
+
+
+def _decode_instruction(text: str) -> Instruction:
+    instr = _DECODED.get(text)
+    if instr is None:
+        instr = parse_instruction(text)
+        if len(_DECODED) >= _DECODED_LIMIT:
+            _DECODED.clear()
+        _DECODED[text] = instr
+    return instr
+
+
 def program_from_json(data: Json) -> Program:
-    code = tuple(UNUSED if slot is None else parse_instruction(slot)
+    code = tuple(UNUSED if slot is None else _decode_instruction(slot)
                  for slot in data["slots"])
     labels = {name: int(index)
               for name, index in data["labels"].items()}

@@ -58,6 +58,10 @@ class ChainStats:
         return self.testcases_evaluated / self.proposals
 
 
+#: Zero-test-cost rewrites a chain keeps: the lowest-cost ones.
+ZERO_COST_CAP = 64
+
+
 @dataclass
 class ChainResult:
     """Final state of one MCMC chain."""
@@ -99,7 +103,6 @@ class MCMCSampler:
         # (cost, program) pairs with eq' == 0, pruned to the best few —
         # the pool handed to the re-ranking step (Figure 9, stage 6)
         self.zero_cost: list[tuple[int, Program]] = []
-        self._zero_cost_cap = 64
         if result.eq_term == 0:
             self.zero_cost.append((self.current_cost, start))
 
@@ -151,9 +154,9 @@ class MCMCSampler:
                     self.best_cost = result.value
                 if result.eq_term == 0:
                     self.zero_cost.append((result.value, candidate))
-                    if len(self.zero_cost) > 2 * self._zero_cost_cap:
+                    if len(self.zero_cost) > 2 * ZERO_COST_CAP:
                         self.zero_cost.sort(key=lambda pair: pair[0])
-                        del self.zero_cost[self._zero_cost_cap:]
+                        del self.zero_cost[ZERO_COST_CAP:]
             if telemetry is not None:
                 delta = (None if result.exceeded or result.value is None
                          else result.value - previous_cost)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.cost.function import CostFunction, Phase
 from repro.search.config import SearchConfig
-from repro.search.mcmc import ChainResult, ChainStats
+from repro.search.mcmc import ZERO_COST_CAP, ChainResult, ChainStats
 from repro.search.moves import MoveGenerator
 from repro.search.strategies import MCMCStrategy, SearchStrategy
 from repro.testgen.generator import TestcaseGenerator
@@ -198,8 +198,10 @@ def _merge_chain(acc: ChainResult | None,
         best_cost=best.best_cost,
         current_program=chain.current_program,
         current_cost=chain.current_cost,
+        # capped like the sampler's own pool: nothing downstream reads
+        # past the per-segment pools, yet every entry is shipped
         zero_cost=sorted(acc.zero_cost + chain.zero_cost,
-                         key=lambda pair: pair[0]),
+                         key=lambda pair: pair[0])[:ZERO_COST_CAP],
         stats=stats,
         telemetry=telemetry,
     )

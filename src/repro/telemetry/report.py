@@ -15,7 +15,8 @@ kernel) and prints, per the paper's diagnostics:
 * the testcases-evaluated-per-proposal histogram (Fig. 5, the Eq. 14
   short-circuit's payoff);
 * the worker-occupancy timeline and grant-latency summary from the
-  scheduler's runtime section.
+  scheduler's runtime section, and the compiled evaluator's tier-ups
+  and skeleton compiles from the chains' runtime sections.
 
 Everything here is pure string-building over the merged document from
 :func:`repro.telemetry.journal.metrics_document`; the CLI verb is a
@@ -182,6 +183,26 @@ def occupancy_lines(document: Json) -> list[str]:
     return lines
 
 
+def evaluator_lines(document: Json) -> list[str]:
+    """The compiled evaluator's cache traffic, summed over chains.
+
+    Runtime state like the scheduler's (which chain pays a tier-up
+    depends on pool placement); absent for runs that recorded none.
+    """
+    totals: dict[str, int] = {}
+    for telemetry in document["chains"].values():
+        counters = telemetry.get("runtime", {}).get("evaluator", {})
+        for name, count in counters.items():
+            totals[name] = totals.get(name, 0) + count
+    if not totals:
+        return []
+    return [f"  evaluator: {totals.get('tier_ups', 0):,} tier-ups, "
+            f"{totals.get('skeletons_compiled', 0):,} skeletons "
+            f"compiled, {totals.get('structural_hits', 0):,} "
+            f"structural hits, {totals.get('cold_fallbacks', 0):,} "
+            f"cold fallbacks"]
+
+
 def render_report(documents: list[Json]) -> str:
     """The full multi-section report for one or many kernels."""
     out: list[str] = ["campaign summary"]
@@ -203,4 +224,5 @@ def render_report(documents: list[Json]) -> str:
         out.extend(testcase_histogram(document))
         out.append(f"[{kernel}] scheduler")
         out.extend(occupancy_lines(document))
+        out.extend(evaluator_lines(document))
     return "\n".join(out)

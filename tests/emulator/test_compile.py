@@ -19,7 +19,9 @@ import pytest
 from repro.cost.correctness import CostWeights
 from repro.cost.correctness import testcase_cost as eq_cost
 from repro.cost.function import CostFunction, Phase
-from repro.emulator.compile import CompiledProgram, compile_program
+import repro.emulator.compile as compiled
+from repro.emulator.compile import (COUNTERS, CompiledProgram,
+                                    compile_program, compiled_step)
 from repro.emulator.cpu import Emulator
 from repro.emulator.state import MachineState
 from repro.errors import StepLimitExceeded
@@ -27,7 +29,9 @@ from repro.search.config import SearchConfig
 from repro.search.moves import MoveGenerator
 from repro.suite.registry import all_benchmarks, benchmark
 from repro.testgen.generator import TestcaseGenerator
-from repro.x86.parser import parse_program
+from repro.testgen.testcase import Testcase
+from repro.x86.parser import parse_instruction, parse_program
+from repro.x86.program import Program
 
 
 def _snapshot(state: MachineState) -> tuple:
@@ -153,6 +157,93 @@ def test_write_set_covers_implicit_and_memory_effects():
         mulq rsi
         popq rcx
     """)
-    compiled = CompiledProgram(prog)
-    assert {"rsp", "rax", "rdx", "rcx"} <= set(compiled.regs_written)
-    assert compiled.writes_memory
+    regs, flags, writes_memory = CompiledProgram(prog).write_set
+    assert {"rsp", "rax", "rdx", "rcx"} <= set(regs)
+    assert writes_memory
+
+
+def test_write_set_decodes_in_fixed_order():
+    prog = parse_program("""
+        movq rdi, r9
+        addq rsi, rax
+        movq rax, 8(rdi)
+    """)
+    write_set = CompiledProgram(prog).write_set
+    assert write_set == (("rax", "r9"), ("CF", "ZF", "SF", "OF", "PF"),
+                         True)
+    # one shared tuple per distinct write set
+    assert CompiledProgram(prog).write_set is write_set
+
+
+# -- skeleton sharing ---------------------------------------------------------
+
+#: Two inputs per instruction: everything defined and the pointer inside
+#: the sandbox, then a partly undefined state whose pointer faults.
+_SKELETON_CASES = (
+    Testcase(input_regs=(("rax", 0x8000_0000_0000_0001), ("rbx", 7),
+                         ("rcx", 0xFFFF_FFFF), ("rdx", 3),
+                         ("rdi", 0x1000)),
+             input_memory=tuple((addr, addr * 37 & 255)
+                                for addr in range(0x0FE0, 0x1020)),
+             expected_regs=(), expected_memory=(),
+             valid_addresses=frozenset(range(0x0FE0, 0x1020))),
+    Testcase(input_regs=(("rax", 5), ("rdi", 0x9000)),
+             input_memory=(), expected_regs=(), expected_memory=(),
+             valid_addresses=frozenset(range(0x1000, 0x1010))),
+)
+
+
+@pytest.fixture
+def cold_step_caches():
+    """Empty the process-global step caches so compiles are counted."""
+    for cache in (compiled._STRUCTURAL_CACHE, compiled._SEEN_ONCE,
+                  compiled._SKELETONS):
+        cache.clear()
+
+
+def _hot_step(text):
+    """A fresh instruction's step once it has passed the hot threshold."""
+    instr = parse_instruction(text)
+    for _ in range(compiled._HOT_THRESHOLD):
+        step = compiled_step(instr)
+    assert step.__code__.co_filename == "<repro-compiled>", text
+    return instr, step
+
+
+def _assert_step_matches_reference(instr, step):
+    for testcase in _SKELETON_CASES:
+        reference = testcase.initial_state()
+        Emulator(reference, testcase.sandbox()).run(Program((instr,)))
+        state = testcase.initial_state()
+        step(state, testcase.sandbox())
+        assert _snapshot(state) == _snapshot(reference), str(instr)
+
+
+@pytest.mark.parametrize("pair", [
+    ("addq rbx, rax", "addq rdx, rcx"),
+    ("movq 8(rdi), rax", "movq -24(rdi), rax"),
+    ("movq rax, 16(rdi)", "movq rax, -8(rdi)"),
+], ids=" / ".join)
+def test_equal_shapes_share_one_skeleton(cold_step_caches, pair):
+    before = COUNTERS.skeletons_compiled
+    (first, first_step), (second, second_step) = map(_hot_step, pair)
+    assert COUNTERS.skeletons_compiled - before == 1
+    assert first_step.__code__ is second_step.__code__
+    assert first_step is not second_step      # each binds its literals
+    _assert_step_matches_reference(first, first_step)
+    _assert_step_matches_reference(second, second_step)
+
+
+@pytest.mark.parametrize("pair", [
+    ("shll 0, eax", "shll 3, eax"),          # known_zero specializes
+    ("xorl eax, eax", "xorl ebx, eax"),      # the zeroing idiom
+    ("addq rax, rax", "addq rbx, rax"),      # equal literals dedupe
+], ids=" / ".join)
+def test_different_recordings_never_share(cold_step_caches, pair):
+    before = COUNTERS.skeletons_compiled
+    (first, first_step), (second, second_step) = map(_hot_step, pair)
+    assert COUNTERS.skeletons_compiled - before == 2
+    assert first_step.__code__ is not second_step.__code__
+    _assert_step_matches_reference(first, first_step)
+    _assert_step_matches_reference(second, second_step)
+

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import serialize
-from repro.errors import EngineError
+from repro.errors import AsmSyntaxError, EngineError
 from repro.search.config import SearchConfig
 from repro.search.mcmc import ChainResult, ChainStats
 from repro.suite.registry import benchmark
@@ -27,6 +27,40 @@ def test_program_roundtrip_preserves_padding_and_labels():
     assert back == prog
     assert len(back) == 8                     # padding survived
     assert back.labels == prog.labels
+
+
+def test_program_decode_parses_each_slot_text_once():
+    prog = parse_program("""
+        movq rdi, rax
+        addq rsi, rax
+        movq rdi, rax
+    """).padded(6)
+    data = serialize.program_to_json(prog)
+    first = serialize.program_from_json(data)
+    second = serialize.program_from_json(data)
+    assert first == prog == second
+    assert first.code[0] is first.code[2] is second.code[0]
+    assert first.code[1] is second.code[1]
+
+
+def test_program_decode_of_a_corrupt_slot_raises_and_caches_nothing():
+    text = "addq nosuchreg, rax"
+    data = {"slots": ["movq rdi, rax", text], "labels": {}}
+    for _ in range(2):
+        with pytest.raises(AsmSyntaxError):
+            serialize.program_from_json(data)
+    assert text not in serialize._DECODED
+
+
+def test_program_decode_memo_clears_at_its_bound(monkeypatch):
+    monkeypatch.setattr(serialize, "_DECODED", {})
+    monkeypatch.setattr(serialize, "_DECODED_LIMIT", 2)
+    texts = ["movq rdi, rax", "addq rsi, rax", "subq rdx, rax"]
+    decoded = [serialize.program_from_json({"slots": [text],
+                                            "labels": {}}).code[0]
+               for text in texts]
+    assert [str(instr) for instr in decoded] == texts
+    assert list(serialize._DECODED) == texts[2:]   # cleared at 2, refilled
 
 
 def test_program_key_ignores_padding():

@@ -4,7 +4,9 @@
 
 from repro.cost.function import CostFunction, Phase
 from repro.search.config import SearchConfig
+from repro.search.mcmc import ZERO_COST_CAP
 from repro.search.phases import OptimizationPhase, SynthesisPhase
+from repro.search.strategies import MCMCStrategy
 from repro.search.ranker import rerank
 from repro.suite.registry import benchmark
 from repro.suite.runner import budget_scale, search_config
@@ -46,6 +48,34 @@ def test_optimization_phase_without_validator_keeps_candidates():
     result = phase.run(bench.o0, seed=21)
     assert not result.verified
     assert result.candidates
+
+
+class _RecordingStrategy(MCMCStrategy):
+    """The paper's sampler, keeping every segment's zero-cost pool."""
+
+    def __init__(self):
+        self.segments = []
+
+    def run_chain(self, *args, **kwargs):
+        chain = super().run_chain(*args, **kwargs)
+        self.segments.append(list(chain.zero_cost))
+        return chain
+
+
+def test_merged_zero_cost_of_a_ten_segment_phase_stays_capped():
+    bench, generator, testcases, config = _setup(
+        optimization_restarts=10)
+    cost = CostFunction(testcases, bench.o0, phase=Phase.OPTIMIZATION)
+    strategy = _RecordingStrategy()
+    phase = OptimizationPhase(bench.o0, bench.spec, cost, generator,
+                              None, config, strategy=strategy)
+    result = phase.run(bench.o0, seed=21)
+    assert len(strategy.segments) == 10
+    found = [pair for segment in strategy.segments for pair in segment]
+    assert len(found) > ZERO_COST_CAP      # the cap actually bites
+    # the lowest-cost entries, in the order an uncapped merge sorts them
+    assert result.chain.zero_cost == \
+        sorted(found, key=lambda pair: pair[0])[:ZERO_COST_CAP]
 
 
 def test_synthesis_phase_on_trivial_kernel():

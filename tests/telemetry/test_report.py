@@ -1,9 +1,15 @@
 """The run-dir report renderer: sparklines, discovery, sections."""
 
+import json
+
+import repro.emulator.compile as compiled
+from repro.engine.campaign import Campaign, EngineOptions
+from repro.search.config import SearchConfig
+from repro.suite.registry import benchmark
 from repro.telemetry import (ChainTelemetry, MetricsLog,
-                             discover_run_dirs, load_document,
-                             render_report, sparkline)
-from repro.telemetry.report import summary_table
+                             deterministic_document, discover_run_dirs,
+                             load_document, render_report, sparkline)
+from repro.telemetry.report import evaluator_lines, summary_table
 
 
 def _sample_chain(steps=10, kind="opcode"):
@@ -98,3 +104,61 @@ def test_render_report_degrades_without_traces(tmp_path):
     report = render_report([load_document(run_dir)])
     assert "(no proposals recorded)" in report
     assert "(no scheduler runtime recorded yet)" in report
+
+
+def test_evaluator_counters_sum_over_chains(tmp_path):
+    run_dir = tmp_path / "p01"
+    run_dir.mkdir()
+    log = MetricsLog(run_dir / "metrics.jsonl")
+    for job_id, tier_ups, skeletons in (("a", 40, 12), ("b", 2, 0)):
+        chain = _sample_chain(4)
+        chain.runtime["evaluator"] = {"tier_ups": tier_ups,
+                                      "skeletons_compiled": skeletons,
+                                      "structural_hits": 5,
+                                      "cold_fallbacks": 1}
+        log.record_chain("p01", job_id, chain.to_json())
+    document = load_document(run_dir)
+    assert evaluator_lines(document) == [
+        "  evaluator: 42 tier-ups, 12 skeletons compiled, "
+        "10 structural hits, 2 cold fallbacks"]
+    assert "42 tier-ups, 12 skeletons compiled" in render_report([document])
+    # runs that journaled no counters render exactly as before
+    assert evaluator_lines(load_document(_journal_run(tmp_path / "x"))) \
+        == []
+
+
+def _campaign(run_dir, jobs):
+    bench = benchmark("p01")
+    config = SearchConfig(ell=10, beta=1.0, seed=3,
+                          optimization_proposals=400,
+                          optimization_restarts=2, optimization_chains=2,
+                          synthesis_chains=0, testcase_count=4)
+    return Campaign(bench.o0, bench.spec, bench.annotations,
+                    config=config, validator=None,
+                    options=EngineOptions(jobs=jobs, run_dir=run_dir),
+                    name="p01")
+
+
+def test_chains_journal_every_evaluator_counter(tmp_path):
+    for cache in (compiled._STRUCTURAL_CACHE, compiled._SEEN_ONCE,
+                  compiled._SKELETONS):
+        cache.clear()              # cold caches: this run pays tier-ups
+    _campaign(tmp_path / "jobs1", jobs=1).run()
+    _campaign(tmp_path / "jobs2", jobs=2).run()
+    serial = load_document(tmp_path / "jobs1")
+    pooled = load_document(tmp_path / "jobs2")
+    for document in (serial, pooled):
+        for telemetry in document["chains"].values():
+            counters = telemetry["runtime"]["evaluator"]
+            assert set(counters) == set(compiled.evaluator_counters())
+            assert all(count >= 0 for count in counters.values())
+    totals = {name: sum(telemetry["runtime"]["evaluator"][name]
+                        for telemetry in serial["chains"].values())
+              for name in ("tier_ups", "skeletons_compiled")}
+    # p01 has no jumps: every skeleton comes from a tier-up, and many
+    # tier-ups share one
+    assert 0 < totals["skeletons_compiled"] < totals["tier_ups"]
+    assert "skeletons compiled" in render_report([serial])
+    # the counters are runtime state: the deterministic slice is equal
+    assert json.dumps(deterministic_document(serial), sort_keys=True) == \
+        json.dumps(deterministic_document(pooled), sort_keys=True)
