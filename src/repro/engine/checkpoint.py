@@ -11,9 +11,10 @@ Layout::
 The manifest freezes everything job results depend on — target, spec,
 annotations, config, and the generated base testcases — so a resumed
 campaign provably replays the same search, and resuming against a
-different campaign is rejected instead of silently mixing results. The
-journal is append-only and flushed per record; a half-written final
-line (the interrupt case) is discarded on load and that job re-runs.
+different campaign is rejected instead of silently mixing results.
+Each ``*.jsonl`` file is a :class:`repro.journal.Journal`, which owns
+the durability and torn-tail rules; a job whose record was torn simply
+re-runs.
 
 Manifest versions (any mismatch rejects the resume):
 
@@ -63,7 +64,7 @@ Manifest versions (any mismatch rejects the resume):
   ``recovery.jsonl`` — one record per retry/requeue/quarantine — which
   a resume replays so quarantined chains stay quarantined and the
   recovery counters survive the interrupt.
-* **v8** (this PR): adds ``transport`` — the execution transport's
+* **v8** (PR 9): adds ``transport`` — the execution transport's
   spec string (``local``, or ``tcp:wire=N`` for socket workers). The
   *worker count* is deliberately not frozen (results are worker-count
   invisible, exactly like ``jobs``); what a resume must agree on is
@@ -73,7 +74,10 @@ Manifest versions (any mismatch rejects the resume):
 A run directory may also hold ``events.jsonl``, the campaign progress
 stream (:mod:`repro.engine.events`), and ``metrics.jsonl``, the search
 telemetry journal. Both are diagnostic output, not resume state: the
-fingerprint never covers them.
+fingerprint never covers them, and each is started over by its own
+writer (:class:`~repro.engine.events.EventLog`,
+:class:`~repro.telemetry.journal.MetricsLog`), not by
+:meth:`CheckpointStore.start_fresh`.
 """
 
 from __future__ import annotations
@@ -82,8 +86,9 @@ import json
 import os
 from pathlib import Path
 
-from repro.engine.serialize import Json, read_jsonl, require_fields
+from repro.engine.serialize import Json, require_fields
 from repro.errors import EngineError
+from repro.journal import Journal
 
 MANIFEST_VERSION = 8
 
@@ -102,6 +107,9 @@ class CheckpointStore:
         self.grants_path = self.run_dir / "grants.jsonl"
         self.metrics_path = self.run_dir / "metrics.jsonl"
         self.recovery_path = self.run_dir / "recovery.jsonl"
+        self._jobs = Journal(self.journal_path, "journal")
+        self._grants = Journal(self.grants_path, "grants journal")
+        self._recovery = Journal(self.recovery_path, "recovery journal")
 
     def has_manifest(self) -> bool:
         return self.manifest_path.exists()
@@ -116,10 +124,8 @@ class CheckpointStore:
         tmp = self.manifest_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True))
         os.replace(tmp, self.manifest_path)
-        self.journal_path.write_text("")
-        self.grants_path.write_text("")
-        self.metrics_path.write_text("")
-        self.recovery_path.write_text("")
+        for journal in (self._jobs, self._grants, self._recovery):
+            journal.reset()
 
     def load_manifest(self, expected_fingerprint: Json) -> Json:
         """Load and cross-check the manifest against this campaign.
@@ -150,73 +156,30 @@ class CheckpointStore:
 
     def record(self, payload: Json) -> None:
         """Append one completed job result, durably."""
-        line = json.dumps(payload, sort_keys=True)
-        with self.journal_path.open("a") as journal:
-            journal.write(line + "\n")
-            journal.flush()
-            os.fsync(journal.fileno())
+        self._jobs.append(payload)
 
     def record_grant(self, payload: Json) -> None:
         """Append one scheduler grant decision, durably."""
-        line = json.dumps(payload, sort_keys=True)
-        with self.grants_path.open("a") as journal:
-            journal.write(line + "\n")
-            journal.flush()
-            os.fsync(journal.fileno())
+        self._grants.append(payload)
 
     def record_recovery(self, payload: Json) -> None:
         """Append one recovery decision (retry/requeue/quarantine),
         durably — quarantines especially must survive an interrupt, or
         a resume would hammer a poisoned chain all over again."""
-        line = json.dumps(payload, sort_keys=True)
-        with self.recovery_path.open("a") as journal:
-            journal.write(line + "\n")
-            journal.flush()
-            os.fsync(journal.fileno())
-
-    def _healed_records(self, path: Path, what: str) -> list[Json]:
-        """Read an append-only journal, truncating a torn tail.
-
-        A torn trailing line (interrupted mid-write) is dropped — and
-        the file is rewritten without it, so a later append cannot
-        fuse a new record onto the fragment (which would corrupt the
-        journal on the *next* read).
-        """
-        if not path.exists():
-            return []
-        records = read_jsonl(path, what)
-        survivors = "".join(json.dumps(payload, sort_keys=True) + "\n"
-                            for payload in records)
-        if survivors != path.read_text():
-            # atomic + durable, like the manifest: a crash mid-heal
-            # must not cost the journal the records that survived
-            tmp = path.with_suffix(".jsonl.tmp")
-            with tmp.open("w") as handle:
-                handle.write(survivors)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        return records
+        self._recovery.append(payload)
 
     def grants(self) -> list[Json]:
         """Journaled grant decisions, in decision order."""
-        return self._healed_records(self.grants_path, "grants journal")
+        return list(self._grants)
 
     def recovery(self) -> list[Json]:
         """Journaled recovery decisions, in decision order."""
-        return self._healed_records(self.recovery_path,
-                                    "recovery journal")
+        return list(self._recovery)
 
     def completed(self) -> dict[str, Json]:
-        """All journaled results, keyed by job id.
-
-        A torn trailing line is dropped (and healed away, since the
-        resume that called this will append); a torn line anywhere
-        else means the journal was edited by hand and is an error.
-        """
+        """All journaled results, keyed by job id."""
         results: dict[str, Json] = {}
-        for payload in self._healed_records(self.journal_path,
-                                            "journal"):
+        for payload in self._jobs:
             if "job_id" not in payload:
                 raise EngineError(
                     f"journal record without job_id in "

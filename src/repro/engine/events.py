@@ -46,28 +46,26 @@ follower can tell a slow campaign from one fighting worker failures,
 and ``campaign-finished`` gains ``chains_quarantined`` when any chain
 was abandoned.
 
-Stream version 4 (this PR) adds the distributed-membership pair
+Stream version 4 (PR 9) adds the distributed-membership pair
 (``worker-joined`` / ``worker-left``): a campaign run over socket
 workers (``--workers`` / ``repro engine worker``) records every
 arrival and departure — with the departure's reason — so a follower
 can correlate a burst of ``job-requeued`` events with the host that
 caused them.
 
-Like the checkpoint journal, the file is append-only, flushed per
-record, and a torn trailing line (the interrupt case) is dropped on
-read.
+The file is a :class:`repro.journal.Journal`, which owns the
+durability and torn-tail rules.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.engine.serialize import Json, iter_jsonl, require_fields
+from repro.engine.serialize import Json, require_fields
 from repro.errors import EngineError
+from repro.journal import Journal
 
 EVENT_STREAM_VERSION = 4
 
@@ -203,39 +201,24 @@ class EventLog:
     def __init__(self, path: str | Path | None = None,
                  listener: ProgressListener | None = None, *,
                  append: bool = False) -> None:
-        self.path = None if path is None else Path(path)
+        self._journal = None if path is None else Journal(path, "event")
         self.listener = listener
         self._seq = 0
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if append and self.path.exists():
-                # re-write the surviving records so a torn trailing
-                # line (an interrupted emit) is truncated rather than
-                # fused with the next append; streamed through a temp
-                # file so healing a long stream never loads it whole
-                tmp = self.path.with_suffix(".jsonl.tmp")
-                with tmp.open("w") as handle:
-                    for event in iter_events(self.path):
-                        handle.write(json.dumps(event_to_json(event),
-                                                sort_keys=True) + "\n")
-                        self._seq += 1
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.path)
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            if append:
+                self._seq = sum(1 for _ in iter_events(path))
+                self._journal.heal()
             else:
-                self.path.write_text("")
+                self._journal.reset()
 
     def emit(self, event_type: str, kernel: str, **data) -> ProgressEvent:
         """Record one event; returns it for callers that chain state."""
         event = ProgressEvent(event=event_type, kernel=kernel,
                               seq=self._seq, data=data)
         self._seq += 1
-        if self.path is not None:
-            line = json.dumps(event_to_json(event), sort_keys=True)
-            with self.path.open("a") as stream:
-                stream.write(line + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
+        if self._journal is not None:
+            self._journal.append(event_to_json(event))
         if self.listener is not None:
             self.listener(event)
         return event
@@ -247,7 +230,7 @@ def iter_events(path: str | Path):
     The iterator the live progress follower and ``engine report`` use:
     a long campaign's stream never has to fit in memory to be read.
     """
-    for payload in iter_jsonl(path, "event"):
+    for payload in Journal(path, "event"):
         yield event_from_json(payload)
 
 
@@ -258,33 +241,8 @@ def read_events(path: str | Path) -> list[ProgressEvent]:
 
 def follow_events(path: str | Path, *, poll: Callable[[], bool],
                   interval: float = 0.2):
-    """Tail an event stream that another process is appending to.
-
-    Yields each complete event as it lands; between appends, sleeps
-    ``interval`` and re-consults ``poll`` — the generator ends when
-    ``poll`` returns False and the file holds nothing new. A partial
-    trailing line (an append caught mid-write) is buffered until its
-    newline arrives, never decoded early.
-    """
-    import time as _time
-    path = Path(path)
-    buffer = ""
-    position = 0
-    live = True
-    while True:
-        if path.exists():
-            with path.open() as stream:
-                stream.seek(position)
-                chunk = stream.read()
-                position = stream.tell()
-            buffer += chunk
-            while "\n" in buffer:
-                line, buffer = buffer.split("\n", 1)
-                if line.strip():
-                    yield event_from_json(json.loads(line))
-        if not live:
-            return
-        live = poll()
-        if not live:
-            continue               # one final drain before stopping
-        _time.sleep(interval)
+    """Tail an event stream that another process is appending to
+    (see :meth:`repro.journal.Journal.follow`)."""
+    for payload in Journal(path, "event").follow(poll=poll,
+                                                 interval=interval):
+        yield event_from_json(payload)

@@ -13,8 +13,8 @@ from repro.engine.events import (CAMPAIGN_FINISHED, CAMPAIGN_STARTED,
                                  EVENT_STREAM_VERSION, KERNEL_GRANTED,
                                  KERNEL_STOPPED, ProgressEvent,
                                  RANKING_UPDATED, event_from_json,
-                                 event_to_json, format_event,
-                                 read_events)
+                                 event_to_json, follow_events,
+                                 format_event, read_events)
 from repro.engine.jobs import result_from_json
 from repro.engine.worker import CampaignContext
 from repro.errors import EngineError
@@ -177,6 +177,27 @@ def test_event_log_resume_truncates_torn_tail(tmp_path):
     assert [e.event for e in events] == \
         [CAMPAIGN_STARTED, KERNEL_STOPPED, CAMPAIGN_FINISHED]
     assert [e.seq for e in events] == [0, 1, 2]
+
+
+def test_corrupt_event_line_raises_typed_on_every_reader(tmp_path):
+    """A complete line that does not parse is a typed EngineError for
+    the follower too, so ``engine report --follow`` exits 2."""
+    from repro import cli
+    run_dir = tmp_path / "run"
+    log = EventLog(run_dir / "events.jsonl")
+    log.emit(CAMPAIGN_STARTED, "p01")
+    log.emit(KERNEL_STOPPED, "p01", reason="exhausted")
+    log.emit(CAMPAIGN_FINISHED, "p01", verified=True,
+             rewrite_cycles=2, speedup=2.0)
+    path = run_dir / "events.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1][:10]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(EngineError, match="corrupt event line 2"):
+        read_events(path)
+    with pytest.raises(EngineError, match="corrupt event line 2"):
+        list(follow_events(path, poll=lambda: False))
+    assert cli.main(["engine", "report", str(run_dir), "--follow"]) == 2
 
 
 # -- campaigns stream ---------------------------------------------------------

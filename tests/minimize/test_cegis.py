@@ -73,6 +73,18 @@ def test_torn_trailing_line_is_tolerated(tmp_path):
     assert len(CounterexampleSuite(path).testcases()) == 2
 
 
+def test_append_after_a_torn_line_heals_instead_of_fusing(tmp_path):
+    """A torn fragment must not swallow the next append: every intact
+    record and every appended one reloads."""
+    path = tmp_path / "cex_suite.jsonl"
+    testcases = _testcases(5, seed=7)
+    CounterexampleSuite(path).append(testcases[:2])
+    with path.open("a") as handle:
+        handle.write('{"v": 1, "testcase": {"inp')   # crash mid-write
+    assert CounterexampleSuite(path).append(testcases[2:]) == 3
+    assert CounterexampleSuite(path).testcases() == testcases
+
+
 def test_future_record_versions_are_skipped_not_fatal(tmp_path):
     path = tmp_path / "cex_suite.jsonl"
     suite = CounterexampleSuite(path)
