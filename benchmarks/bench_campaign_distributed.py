@@ -1,6 +1,6 @@
 """Distributed execution: campaign makespan over TCP workers.
 
-Runs the same interleaved multi-kernel campaign two ways — on the
+Runs the same multi-kernel sweep two ways — on the
 serial executor (``--jobs 1``, one chain at a time) and distributed
 over loopback TCP workers (``--workers W``) — and reports the campaign
 wall-clock each deployment needs, at every kernel's best verified
@@ -78,8 +78,7 @@ def _campaigns(kernels: list[str], chains: int, seed: int,
             bench.o0, bench.spec, bench.annotations,
             config=_config(kernel, chains, seed + index),
             validator=Validator(),
-            options=EngineOptions(jobs=1, interleave=True,
-                                  workers=workers,
+            options=EngineOptions(jobs=1, workers=workers,
                                   job_timeout=job_timeout,
                                   progress=progress),
             name=kernel))

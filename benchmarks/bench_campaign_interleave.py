@@ -1,9 +1,10 @@
 """Cross-kernel interleaving: campaign wall-clock on a mixed quartet.
 
 Runs the same multi-chain campaign over a mixed fast/slow kernel
-quartet both ways — sequentially (one kernel's chains at a time, the
-pre-interleave engine) and interleaved (every kernel's chain rounds
-granted round-robin into one shared pool) — and reports the campaign
+quartet both ways — sequentially (``Campaign.run`` per kernel, one
+kernel's chains at a time) and interleaved (one ``run_campaigns``
+sweep: every kernel's chain rounds granted round-robin into one shared
+pool) — and reports the campaign
 wall-clock each schedule needs, at every kernel's best verified
 ranking. The claim under test is the cross-kernel scheduler's
 contract: a lower campaign wall-clock tail (the pool stays saturated
@@ -73,8 +74,7 @@ def _config(kernel: str, chains: int, seed: int) -> SearchConfig:
 
 
 def _campaigns(kernels: list[str], chains: int, seed: int,
-               budget: str, interleave: bool,
-               progress=None) -> list[Campaign]:
+               budget: str, progress=None) -> list[Campaign]:
     campaigns = []
     for index, kernel in enumerate(kernels):
         bench = get_benchmark(kernel)
@@ -83,7 +83,6 @@ def _campaigns(kernels: list[str], chains: int, seed: int,
             config=_config(kernel, chains, seed + index),
             validator=Validator(),
             options=EngineOptions(jobs=1, budget=budget,
-                                  interleave=interleave,
                                   progress=progress),
             name=kernel))
     return campaigns
@@ -162,14 +161,14 @@ def main(argv: list[str] | None = None) -> int:
     timer = ChainTimer()
     start = time.perf_counter()
     seq_results = [campaign.run() for campaign in _campaigns(
-        args.kernels, args.chains, args.seed, args.budget, False,
+        args.kernels, args.chains, args.seed, args.budget,
         progress=timer)]
     seq_seconds = time.perf_counter() - start
 
     # real interleaved run of the identical campaigns
     start = time.perf_counter()
     int_results = run_campaigns(_campaigns(
-        args.kernels, args.chains, args.seed, args.budget, True))
+        args.kernels, args.chains, args.seed, args.budget))
     int_seconds = time.perf_counter() - start
 
     report: dict = {"kernels": {}, "jobs": args.jobs,

@@ -57,7 +57,6 @@ class Result:
     testcases_per_proposal: float
     stoke: StokeResult = field(repr=False)
     budget: str = "fixed"
-    interleave: str = "none"
     chains_scheduled: int = 0
     chains_saved: int = 0
     #: Chain jobs abandoned after exhausting their retry budget, and
@@ -89,7 +88,6 @@ class Result:
             "cost": self.cost,
             "strategy": self.strategy,
             "budget": self.budget,
-            "interleave": self.interleave,
             "chains_scheduled": self.chains_scheduled,
             "chains_saved": self.chains_saved,
             "chains_quarantined": self.chains_quarantined,
@@ -247,7 +245,6 @@ class Session:
             testcases_per_proposal=outcome.testcases_per_proposal,
             stoke=outcome,
             budget=campaign.budget.spec_string(),
-            interleave=campaign.options.interleave_policy,
             chains_scheduled=outcome.chains_scheduled,
             chains_saved=outcome.chains_saved,
             chains_quarantined=outcome.chains_quarantined,

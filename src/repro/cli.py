@@ -16,8 +16,8 @@ Usage::
     python -m repro.cli engine campaign --jobs 8 --run-dir runs/sweep
     python -m repro.cli engine campaign --jobs 8 --chains 8 \\
         --budget adaptive:stable=2 --progress
-    python -m repro.cli engine campaign p01 p03 --interleave \\
-        --workers 2 --job-timeout 30      # distributed (2 loopback workers)
+    python -m repro.cli engine campaign p01 p03 --workers 2 \\
+        --job-timeout 30                  # distributed (2 loopback workers)
     python -m repro.cli engine worker --connect HOST:PORT  # join a campaign
     python -m repro.cli engine report runs/sweep     # run-dir analytics
     python -m repro.cli engine report runs/sweep/p01 --json
@@ -45,7 +45,8 @@ from repro.perfsim.model import actual_runtime
 from repro.search.config import SearchConfig
 from repro.search.strategies import available_strategies
 from repro.suite.registry import all_benchmarks, benchmark
-from repro.suite.runner import evaluate_benchmark, format_rate
+from repro.suite.runner import (evaluate_benchmark, evaluate_campaign,
+                                format_rate)
 from repro.verifier.validator import Validator
 from repro.x86.latency import program_latency
 
@@ -112,7 +113,6 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
     return EngineOptions(jobs=args.jobs, run_dir=args.run_dir,
                          resume=args.resume,
                          budget=BudgetSpec.parse(args.budget),
-                         interleave=getattr(args, "interleave", False),
                          minimize=getattr(args, "minimize", None),
                          harden=getattr(args, "harden", False),
                          job_timeout=getattr(args, "job_timeout", None),
@@ -256,7 +256,6 @@ def _cmd_speedups(args: argparse.Namespace) -> int:
 def _cmd_engine_campaign(args: argparse.Namespace) -> int:
     """Sweep the suite as one resumable, parallel campaign."""
     from repro.engine.checkpoint import CheckpointStore
-    from repro.suite.runner import evaluate_campaign
     if args.resume and not args.run_dir:
         print("--resume requires --run-dir", file=sys.stderr)
         return 2
@@ -270,13 +269,12 @@ def _cmd_engine_campaign(args: argparse.Namespace) -> int:
 
     def engine_for(bench) -> EngineOptions:
         run_dir = None if base_dir is None else base_dir / bench.name
-        # a sweep interrupted mid-kernel leaves later kernels with no
-        # journal yet; resume what exists, start the rest fresh
+        # a sweep interrupted before every kernel started leaves some
+        # with no journal yet; resume what exists, start the rest fresh
         resume = (args.resume and run_dir is not None and
                   CheckpointStore(run_dir).has_manifest())
         return EngineOptions(jobs=args.jobs, run_dir=run_dir,
                              resume=resume, budget=budget,
-                             interleave=args.interleave,
                              minimize=args.minimize,
                              harden=args.harden,
                              job_timeout=args.job_timeout,
@@ -285,24 +283,13 @@ def _cmd_engine_campaign(args: argparse.Namespace) -> int:
                              faults=args.faults,
                              progress=progress)
 
-    if args.interleave:
-        rows = evaluate_campaign(benches, seed=args.seed,
-                                 synthesis=args.synthesis,
-                                 chains=args.chains,
-                                 engine_for=engine_for,
-                                 evaluator=args.evaluator)
-        for outcome in rows:
-            _emit_line(outcome.row(), sys.stdout)
-    else:
-        rows = []
-        for index, bench in enumerate(benches):
-            outcome = evaluate_benchmark(bench, seed=args.seed + index,
-                                         synthesis=args.synthesis,
-                                         chains=args.chains,
-                                         engine=engine_for(bench),
-                                         evaluator=args.evaluator)
-            rows.append(outcome)
-            _emit_line(outcome.row(), sys.stdout)
+    rows = evaluate_campaign(benches, seed=args.seed,
+                             synthesis=args.synthesis,
+                             chains=args.chains,
+                             engine_for=engine_for,
+                             evaluator=args.evaluator)
+    for outcome in rows:
+        _emit_line(outcome.row(), sys.stdout)
     improved = sum(1 for row in rows if row.stoke_speedup > 1.0)
     mean_pps = (sum(row.proposals_per_second for row in rows) /
                 len(rows)) if rows else 0.0
@@ -316,7 +303,6 @@ def _cmd_engine_campaign(args: argparse.Namespace) -> int:
     _emit_line(
         f"campaign done: {improved}/{len(rows)} kernels improved "
         f"(jobs={args.jobs}, budget={budget.spec_string()}, "
-        f"{'interleaved, ' if args.interleave else ''}"
         f"{format_rate(mean_pps)} proposals/s, "
         f"{mean_tpp:.2f} testcases/proposal, "
         f"{scheduled} chains scheduled, {saved} saved{tail})",
@@ -490,12 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chains", type=int, default=1,
         help="optimization chains per kernel (adaptive budgets may "
              "schedule fewer)")
-    campaign.add_argument(
-        "--interleave", action="store_true",
-        help="grant chain rounds from all kernels to one shared pool "
-             "round-robin (identical results for ranking-driven "
-             "budgets, better pool occupancy; a wallclock deadline "
-             "becomes sweep-wide instead of per-kernel)")
     _add_engine_arguments(campaign)
     campaign.set_defaults(fn=_cmd_engine_campaign)
 

@@ -18,11 +18,10 @@ schedules chains under:
 ``wallclock:secs=S``         deny new chain grants once S seconds of
                              campaign wall-clock have elapsed (S
                              defaults to the paper's 30-minute cluster
-                             budget). The deadline is *campaign-wide*:
-                             a sequential sweep runs each kernel as its
-                             own campaign (a fresh S per kernel), while
-                             an interleaved sweep is one campaign whose
-                             kernels share one clock
+                             budget). The deadline is *sweep-wide*:
+                             ``engine campaign --budget
+                             wallclock:secs=S`` is always one deadline
+                             shared by every kernel of the sweep
 ``validations:n=K``          stop scheduling new chains once the
                              campaign's completed chains have spent K
                              validator queries in total — the cap for
@@ -51,6 +50,7 @@ instead of re-consulting the clock, which keeps replay deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -214,11 +214,11 @@ class WallclockRule(StoppingRule):
     that was granted always runs to completion, so the set of chains a
     campaign ran is exactly the set of grants it journaled — which is
     what a resume replays instead of re-consulting the clock. The
-    clock is the campaign's: an interleaved sweep shares one deadline
-    across every kernel (the cluster-allocation reading), a sequential
-    sweep restarts it per kernel — and unlike the ranking-driven
-    rules, a fresh run's grants genuinely depend on machine speed, so
-    only replayed runs are reproducible.
+    clock is the sweep's: ``engine campaign --budget wallclock:secs=S``
+    is always one deadline shared by every kernel of the sweep (the
+    cluster-allocation reading) — and unlike the ranking-driven rules,
+    a fresh run's grants genuinely depend on machine speed, so only
+    replayed runs are reproducible.
     """
 
     incremental = True
@@ -363,12 +363,14 @@ class BudgetSpec:
         if self.stable < 1:
             raise RegistryError(
                 f"budget parameter stable must be >= 1, got {self.stable}")
-        if self.kind == "plateau" and self.eps <= 0:
-            raise RegistryError(
-                f"budget parameter eps must be > 0, got {self.eps}")
-        if self.kind == "wallclock" and self.secs <= 0:
-            raise RegistryError(
-                f"budget parameter secs must be > 0, got {self.secs}")
+        for name, kind in (("eps", "plateau"), ("secs", "wallclock")):
+            # nan fails no comparison-based bound (secs=nan denied
+            # every grant) and inf passes them all
+            value = getattr(self, name)
+            if not math.isfinite(value) or (self.kind == kind
+                                            and value <= 0):
+                raise RegistryError(f"budget parameter {name} must be "
+                                    f"a finite number > 0, got {value}")
         if self.kind == "validations" and self.n < 1:
             raise RegistryError(
                 f"budget parameter n must be >= 1, got {self.n}")

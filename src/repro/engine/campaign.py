@@ -13,8 +13,8 @@ A campaign runs the Figure 9 pipeline as two waves of independent jobs:
 Execution lives in :mod:`repro.engine.sweep`: a :class:`Campaign` is
 the *description* of one kernel's search (target, specs, options,
 fingerprint), and :meth:`Campaign.run` is simply the one-kernel case
-of the cross-kernel scheduler — ``repro engine campaign --interleave``
-runs many of these over one shared pool.
+of the cross-kernel scheduler — ``repro engine campaign`` runs many
+of these over one shared pool.
 
 Each completed job is journaled before the next result is awaited, so
 an interrupted campaign resumed with the same run directory re-runs
@@ -51,10 +51,6 @@ from repro.testgen.testcase import Testcase
 from repro.verifier.validator import LiveSpec, Validator
 from repro.x86.program import Program
 
-INTERLEAVE_NONE = "none"
-INTERLEAVE_ROUNDROBIN = "roundrobin"
-
-
 @dataclass(frozen=True)
 class EngineOptions:
     """How to execute a campaign.
@@ -70,11 +66,9 @@ class EngineOptions:
             ``"plateau:eps=E,stable=K"``, ``"wallclock:secs=S"``). The
             default ``fixed`` runs every configured chain,
             bit-identical to the pre-budget engine.
-        interleave: grant chain rounds from many kernels to one shared
-            pool in round-robin order instead of draining one kernel
-            at a time. Results are bit-identical either way; the
-            policy is frozen in the checkpoint manifest (v4) so a
-            resume cannot silently switch schedulers.
+        interleave: accepted only as True, for callers written when
+            the round-robin sweep was optional; every sweep interleaves
+            now, and nothing reads the field.
         minimize: shrink each kernel's winning rewrite after the
             campaign aggregates — a
             :class:`~repro.minimize.spec.MinimizeSpec`, its spec
@@ -104,9 +98,10 @@ class EngineOptions:
             (:class:`~repro.engine.remote.RemoteExecutor`) that
             loopback workers — and any remote host pointed at its
             address — join and leave mid-campaign. Results are
-            bit-identical at any worker count; the *transport*
-            (``local`` vs ``tcp:wire=N``) is frozen in the manifest
-            (v8), the count — like ``jobs`` — is not.
+            bit-identical at any worker count and on either transport,
+            so neither is frozen in the manifest: a run started with
+            ``--workers`` resumes with ``--jobs`` and the other way
+            round (the wire version is checked at the TCP hello).
         faults: deterministic fault injection (``--faults``) — a
             :class:`~repro.engine.faults.FaultPlan`, its spec string
             (``faults:seed=S,crash=P,dup=P,stall=P,corrupt=P``), or
@@ -122,7 +117,7 @@ class EngineOptions:
     run_dir: str | Path | None = None
     resume: bool = False
     budget: BudgetSpec | str = field(default_factory=BudgetSpec)
-    interleave: bool = False
+    interleave: bool = True
     minimize: "MinimizeSpec | str | bool | None" = None
     harden: bool = False
     job_timeout: float | None = None
@@ -132,6 +127,9 @@ class EngineOptions:
     progress: ProgressListener | None = None
 
     def __post_init__(self) -> None:
+        if not self.interleave:
+            raise EngineError("every sweep interleaves; "
+                              "interleave=False is not supported")
         if self.jobs < 1:
             raise EngineError("jobs must be at least 1")
         if self.workers < 0:
@@ -173,12 +171,6 @@ class EngineOptions:
         object.__setattr__(self, "faults", faults)
 
     @property
-    def interleave_policy(self) -> str:
-        """The manifest form of the scheduling policy."""
-        return (INTERLEAVE_ROUNDROBIN if self.interleave
-                else INTERLEAVE_NONE)
-
-    @property
     def minimize_policy(self) -> str:
         """The manifest form of the minimize policy."""
         from repro.minimize.spec import MINIMIZE_OFF
@@ -193,17 +185,6 @@ class EngineOptions:
         assert self.retries is not None     # normalized in post-init
         return RetryPolicy(retries=self.retries,
                            job_timeout=self.job_timeout)
-
-    @property
-    def transport_policy(self) -> str:
-        """The manifest (v8) form of the execution transport.
-
-        ``local`` or ``tcp:wire=N`` — the frame vocabulary, not the
-        worker count, is what a resume must agree on (counts, like
-        ``jobs``, are invisible in results by construction).
-        """
-        from repro.engine.transport import transport_spec
-        return transport_spec(self.workers)
 
 
 class Campaign:
@@ -254,11 +235,9 @@ class Campaign:
             "cost": self.cost.spec_string(),
             "strategy": self.strategy.spec_string(),
             "budget": self.budget.spec_string(),
-            "interleave": self.options.interleave_policy,
             "minimize": self.options.minimize_policy,
             "harden": self.options.harden,
             "retry": self.options.retry_policy.spec_string(),
-            "transport": self.options.transport_policy,
         }
 
     def _initial_state(self, store: CheckpointStore | None) \

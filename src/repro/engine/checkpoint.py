@@ -29,8 +29,8 @@ Manifest versions (any mismatch rejects the resume):
   contains only the chains its rule actually scheduled; resuming it
   under a different rule would re-decide which chains exist, so a
   changed budget is rejected like any other fingerprint field.
-* **v4** (PR 5): adds ``interleave`` — the cross-kernel scheduling
-  policy (``none`` or ``roundrobin``). The policy decides the grant
+* **v4** (PR 5): adds the cross-kernel scheduling-policy field
+  (``none`` or ``roundrobin``). The policy decides the grant
   order of the shared worker pool; results are bit-identical either
   way, but a resumed campaign must not silently switch schedulers, so
   the policy is frozen like every other fingerprint field. v4 run
@@ -70,6 +70,14 @@ Manifest versions (any mismatch rejects the resume):
   invisible, exactly like ``jobs``); what a resume must agree on is
   the frame vocabulary version, so a run cannot silently hop between
   transports whose wire formats could diverge.
+* **v9**: drops the v4 scheduling-policy field and the v8 ``transport``
+  field. Every sweep now runs on the one round-robin scheduler, and
+  results are bit-identical on either transport, so the two fields
+  could only reject resumes that would have produced the same
+  results. The wire version is still enforced where it matters, at
+  the TCP hello, so a run started with ``--workers`` may be resumed
+  with ``--jobs`` and the other way round. Ten fingerprint fields
+  remain, each able to change a result.
 
 A run directory may also hold ``events.jsonl``, the campaign progress
 stream (:mod:`repro.engine.events`), and ``metrics.jsonl``, the search
@@ -83,18 +91,17 @@ writer (:class:`~repro.engine.events.EventLog`,
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.engine.serialize import Json, require_fields
 from repro.errors import EngineError
-from repro.journal import Journal
+from repro.journal import Journal, replace_durably
 
-MANIFEST_VERSION = 8
+MANIFEST_VERSION = 9
 
 _FINGERPRINT_FIELDS = ("target", "spec", "annotations", "config",
-                       "cost", "strategy", "budget", "interleave",
-                       "minimize", "harden", "retry", "transport")
+                       "cost", "strategy", "budget", "minimize",
+                       "harden", "retry")
 
 
 class CheckpointStore:
@@ -121,9 +128,8 @@ class CheckpointStore:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         payload = dict(manifest)
         payload["version"] = MANIFEST_VERSION
-        tmp = self.manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, self.manifest_path)
+        replace_durably(self.manifest_path,
+                        json.dumps(payload, sort_keys=True))
         for journal in (self._jobs, self._grants, self._recovery):
             journal.reset()
 
@@ -138,12 +144,17 @@ class CheckpointStore:
         if not self.has_manifest():
             raise EngineError(
                 f"no campaign to resume under {self.run_dir}")
-        manifest = json.loads(self.manifest_path.read_text())
+        try:
+            manifest = json.loads(self.manifest_path.read_text())
+            version = manifest.get("version")
+        except (OSError, ValueError, AttributeError):
+            raise EngineError(f"cannot resume: damaged manifest "
+                              f"{self.manifest_path}") from None
         # version first: an old-format manifest is a migration problem
         # ("version 1 is not 2"), not a corruption problem
-        if manifest.get("version") != MANIFEST_VERSION:
+        if version != MANIFEST_VERSION:
             raise EngineError(
-                f"manifest version {manifest.get('version')!r} is not "
+                f"manifest version {version!r} is not "
                 f"{MANIFEST_VERSION}; cannot resume")
         require_fields(manifest, _FINGERPRINT_FIELDS + ("testcases",),
                        "manifest")

@@ -27,8 +27,8 @@ pinned for all of them by ``tests/engine/test_executor_contract.py``):
   order — the KeyboardInterrupt-during-shutdown case.
 
 The executor is shared by *every* kernel of a campaign sweep: contexts
-are keyed by kernel name and installed once per worker process, so an
-interleaved campaign keeps one warm pool saturated instead of forking
+are keyed by kernel name and installed once per worker process, so a
+multi-kernel sweep keeps one warm pool saturated instead of forking
 a fresh pool per kernel. ``submit()`` may be called repeatedly: an
 incremental-budget campaign submits one chain round at a time, and the
 pool persists across rounds and kernels.
@@ -119,7 +119,7 @@ class ProcessPoolExecutor:
     initializer. The pool is created lazily so planning errors surface
     before any process is forked. Completed payloads (or worker
     exceptions) land on an in-process queue via the async-result
-    callbacks, which is what lets the scheduler interleave grants from
+    callbacks, which is what lets the scheduler rotate grants among
     many kernels while earlier waves are still in flight.
     """
 

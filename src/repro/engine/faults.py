@@ -51,6 +51,7 @@ campaign's rankings are bit-identical to the fault-free run's.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections import deque
@@ -211,9 +212,12 @@ class RetryPolicy:
         if self.retries < 0:
             raise RegistryError(
                 f"retries must be >= 0, got {self.retries}")
-        if self.job_timeout is not None and self.job_timeout <= 0:
+        if self.job_timeout is not None and not (
+                math.isfinite(self.job_timeout) and self.job_timeout > 0):
+            # nan makes every deadline comparison false (the driver
+            # would busy-spin) and inf overflows the pool's queue wait
             raise RegistryError(
-                f"job timeout must be > 0 seconds, got "
+                f"job timeout must be a finite number > 0 seconds, got "
                 f"{_format_number(self.job_timeout)}")
 
     @classmethod
@@ -270,7 +274,7 @@ class FaultInjectingExecutor:
     exercised through its production interface. Per-job attempt
     numbers are tracked here (each ``submit`` of the same job id is
     the next attempt), so the fault sequence a job experiences is
-    independent of how grants interleave across kernels and workers.
+    independent of how grants are ordered across kernels and workers.
     """
 
     def __init__(self, inner, plan: FaultPlan) -> None:

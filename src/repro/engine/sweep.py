@@ -7,31 +7,30 @@ a single slow kernel's tail while finished kernels' slots sit idle.
 This module runs a whole sweep as *one* pool of jobs, granting chain
 rounds to kernels in round-robin (fair-share) order, gated by each
 kernel's budget rule, so the pool stays saturated until every kernel
-stops. (:func:`repro.engine.scheduler.interleave_rounds` is the pure,
-ungated specification of that rotation — the driver below implements
-the same discipline inline because grants also depend on budget
-decisions and in-flight barriers.)
+stops. It is the only scheduler: a single-kernel campaign is the
+one-kernel sweep.
 
-Determinism survives interleaving because nothing a kernel computes
+Determinism survives the rotation because nothing a kernel computes
 depends on any other kernel: each kernel's rounds keep their plan
 order, ids, and seeds; results aggregate per kernel in plan order; and
 stopping rules observe only their own kernel's plan-order signature
-sequence. Interleaving reorders *when* rounds run, never *which*
-rounds exist — so an interleaved campaign is bit-identical to a
-sequential one at any worker count.
+sequence. The rotation reorders *when* rounds run, never *which*
+rounds exist — so a sweep is bit-identical to running its kernels one
+at a time, at any worker count.
 
 The one rule that is not a pure function of results is ``wallclock``:
-its grant decisions consult the campaign clock. Those decisions — not
-the clock — are therefore journaled (``grants.jsonl``, the v4
-checkpoint layout) and streamed (``kernel-granted`` events), and a
-resumed campaign replays the journal verbatim before making any live
-decision, which keeps replay deterministic even under a deadline.
+its grant decisions consult the sweep's clock, one deadline shared by
+every kernel. Those decisions — not the clock — are therefore
+journaled (``grants.jsonl``, the v4 checkpoint layout) and streamed
+(``kernel-granted`` events), and a resumed campaign replays the
+journal verbatim before making any live decision, which keeps replay
+deterministic even under a deadline.
 
 :class:`KernelSchedule` is one kernel's steppable state machine
 (synthesis wave → optimization rounds → final aggregate);
-:func:`run_campaigns` is the driver that interleaves any number of
-them over one executor. A single-kernel :meth:`Campaign.run` is just
-the one-schedule sweep.
+:func:`run_campaigns` is the driver that rotates grants among any
+number of them over one executor. A single-kernel
+:meth:`Campaign.run` is just the one-schedule sweep.
 """
 
 from __future__ import annotations
@@ -635,7 +634,7 @@ def run_campaigns(campaigns: list[Campaign], *,
     The driver grants waves in fair-share rotation (each pass visits
     every kernel in list order and admits at most one wave per
     kernel), then blocks for one completed job and feeds it back to
-    its schedule — so slow kernels' rounds interleave with fast ones'
+    its schedule — so slow kernels' rounds run alongside fast ones'
     instead of serializing behind them. Results return in input
     order; every campaign must share one worker count, and kernel
     names must be unique (they key the shared pool's contexts).
@@ -663,42 +662,21 @@ def run_campaigns(campaigns: list[Campaign], *,
     """
     if not campaigns:
         return []
-    jobs = campaigns[0].options.jobs
-    for campaign in campaigns:
-        if campaign.options.jobs != jobs:
+    # one sweep runs over one executor (half the kernels cannot be
+    # distributed while the rest stay local) with one pool-global
+    # deadline/retry discipline (one shared next_result() wait cannot
+    # honor two different timeouts) and one fault plan
+    first = campaigns[0].options
+    for attr, what in (("jobs", "a worker count"),
+                       ("workers", "a --workers count"),
+                       ("retry_policy", "a retry policy"),
+                       ("faults", "a fault plan")):
+        if any(getattr(campaign.options, attr) != getattr(first, attr)
+               for campaign in campaigns):
             raise EngineError(
-                "all campaigns in one sweep must share a worker count")
-    workers = campaigns[0].options.workers
-    for campaign in campaigns:
-        if campaign.options.workers != workers:
-            # one sweep runs over one executor; half the kernels
-            # cannot be distributed while the rest stay local
-            raise EngineError(
-                "all campaigns in one sweep must share a --workers "
-                "count")
-    policy = campaigns[0].options.retry_policy
-    for campaign in campaigns:
-        if campaign.options.retry_policy != policy:
-            # the deadline/retry discipline is pool-global: one shared
-            # next_result() wait cannot honor two different timeouts
-            raise EngineError(
-                "all campaigns in one sweep must share a retry policy")
-    faults = campaigns[0].options.faults
-    for campaign in campaigns:
-        if campaign.options.faults != faults:
-            raise EngineError(
-                "all campaigns in one sweep must share a fault plan")
-    if len(campaigns) > 1 and not all(c.options.interleave
-                                      for c in campaigns):
-        # a multi-kernel sweep IS the round-robin scheduler; running
-        # one with interleave=False options would stamp 'none' into
-        # every v4 manifest while actually interleaving — the silent
-        # policy switch the fingerprint exists to reject. Sequential
-        # sweeps run each campaign on its own (campaign.run()).
-        raise EngineError(
-            "a multi-kernel sweep interleaves; its campaigns must "
-            "carry EngineOptions(interleave=True) — run campaigns "
-            "one at a time for a sequential sweep")
+                f"all campaigns in one sweep must share {what}")
+    jobs, workers = first.jobs, first.workers
+    policy, faults = first.retry_policy, first.faults
     names = [campaign.name for campaign in campaigns]
     if len(set(names)) != len(names):
         raise EngineError(

@@ -45,9 +45,9 @@ import struct
 from repro.engine.serialize import Json
 from repro.errors import EngineError, TransportError
 
-#: Version of the frame vocabulary; carried in ``hello``/``context``
-#: and frozen (as ``tcp:wire=N``) in the checkpoint manifest (v8). A
-#: coordinator and worker disagreeing on it must not exchange jobs.
+#: Version of the frame vocabulary, carried in ``hello``/``context``. A
+#: coordinator and worker disagreeing on it must not exchange jobs, so
+#: the coordinator refuses such a worker at hello.
 WIRE_VERSION = 1
 
 HELLO = "hello"
@@ -253,14 +253,3 @@ def parse_endpoint(text: str) -> tuple[str, int]:
         raise EngineError(f"endpoint port {port} out of range")
     return host, port
 
-
-def transport_spec(workers: int) -> str:
-    """The manifest (v8) form of a campaign's transport policy.
-
-    ``local`` for in-process / ``multiprocessing`` execution,
-    ``tcp:wire=N`` for socket workers. The *wire version* — not the
-    worker count — is what resume freezes: worker counts are invisible
-    in results (like ``--jobs``), but a run must not silently hop
-    between transports whose frame vocabularies could diverge.
-    """
-    return f"tcp:wire={WIRE_VERSION}" if workers > 0 else "local"

@@ -20,6 +20,10 @@ keys, sequence numbers); the file rules live here, once:
   tear are never rewritten, so a crash mid-heal cannot lose them.
   Readers never heal: ``repro engine report --follow`` on a live run
   never modifies the file.
+
+A whole-file record (the checkpoint manifest) is written with
+:func:`replace_durably`, so a crash leaves the old file or the whole
+new one, never a cut one.
 """
 
 from __future__ import annotations
@@ -127,6 +131,17 @@ class Journal:
                         f"corrupt {self.what} line {lineno} in "
                         f"{self.path}") from None
                 yield record, offset, lineno
+
+
+def replace_durably(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text``: write, fsync, then rename."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
 
 
 def _heal(handle) -> None:

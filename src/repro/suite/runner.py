@@ -178,21 +178,19 @@ def evaluate_campaign(benches: list[Benchmark], *, seed: int = 0,
                                            EngineOptions] | None = None,
                       evaluator: str | None = None) \
         -> list[BenchmarkOutcome]:
-    """Measure many kernels as one interleaved, shared-pool campaign.
+    """Measure many kernels as one shared-pool sweep.
 
     The cross-kernel scheduler grants chain rounds round-robin across
     every kernel, so ``--jobs N`` stays saturated until the last
     kernel stops — per-kernel results are bit-identical to running
-    :func:`evaluate_benchmark` kernel by kernel. Per-kernel seeds
-    follow the sequential sweep's scheme (``seed + index``) so the two
-    paths stay comparable; ``engine_for`` supplies each kernel's
-    options (run directory, resume, budget) like the sequential loop
-    would — they must carry ``interleave=True``, since this *is* the
-    interleaving scheduler and each kernel's manifest records that.
+    :func:`evaluate_benchmark` kernel by kernel with the seeds below.
+    Kernel ``index`` searches with ``seed + index``; ``engine_for``
+    supplies each kernel's options (run directory, resume, budget).
+    Each outcome is wrapped like :meth:`Session.run` wraps it, so a
+    ``minimize`` policy still shrinks (and journals) each winner.
     """
     from repro.engine.sweep import run_campaigns
-    engine_for = engine_for or (
-        lambda bench: EngineOptions(interleave=True))
+    engine_for = engine_for or (lambda bench: EngineOptions())
     sessions = [
         _session(bench, seed=seed + index, synthesis=synthesis,
                  chains=chains, engine=engine_for(bench),
@@ -200,5 +198,6 @@ def evaluate_campaign(benches: list[Benchmark], *, seed: int = 0,
         for index, bench in enumerate(benches)]
     campaigns = [session.campaign() for session in sessions]
     results = run_campaigns(campaigns)
-    return [_outcome(bench, result)
-            for bench, result in zip(benches, results)]
+    return [_outcome(bench, session.wrap(campaign, result).stoke)
+            for bench, session, campaign, result
+            in zip(benches, sessions, campaigns, results)]

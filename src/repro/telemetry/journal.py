@@ -27,8 +27,8 @@ sections (wall-clock seconds, the compiled evaluator's process-global
 cache counters, scheduler latencies) legitimately differ between runs
 and across ``--jobs N``; :func:`deterministic_document` strips them,
 and what remains is bit-identical at any worker count — the telemetry
-extension of the engine's replay guarantee
-(``tests/engine/test_interleave.py`` holds it across jobs 1/2/4).
+extension of the engine's replay guarantee (the sweep replay matrix
+in ``tests/engine`` holds it across jobs 1/2/4).
 """
 
 from __future__ import annotations

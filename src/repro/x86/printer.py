@@ -15,7 +15,7 @@ def format_instruction(instr: Instruction) -> str:
 
 
 def format_program(prog: Program, *, show_unused: bool = False) -> str:
-    """Render a program as text, interleaving label definitions.
+    """Render a program as text, label definitions in place.
 
     Args:
         prog: the program to format.

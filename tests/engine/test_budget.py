@@ -318,3 +318,33 @@ def test_validations_resume_stops_at_the_same_chain(tmp_path):
     assert _total_validations(resumed) == _total_validations(full)
     assert [(str(r.program), r.cycles) for r in resumed.ranked] \
         == [(str(r.program), r.cycles) for r in full.ranked]
+
+
+# -- spec numbers must be finite ----------------------------------------------
+
+@pytest.mark.parametrize("flag,value", [
+    ("--job-timeout", "nan"), ("--job-timeout", "inf"),
+    ("--job-timeout", "-inf"), ("retry", "timeout=nan"),
+    ("retry", "timeout=inf"), ("--budget", "wallclock:secs=nan"),
+    ("--budget", "wallclock:secs=inf"), ("--budget", "plateau:eps=nan"),
+    ("--budget", "plateau:eps=inf"), ("--budget", "plateau:eps=-inf"),
+])
+def test_non_finite_spec_numbers_are_rejected(flag, value, capsys):
+    """nan fails no comparison-based bound and inf passes them all:
+    wallclock:secs=nan silently scheduled 0 chains, and a nan or inf
+    job timeout made the driver busy-spin or overflow the pool's
+    queue wait. Each spelling is a RegistryError, exit 2 at the CLI."""
+    from repro import cli
+    from repro.engine.faults import RetryPolicy
+    with pytest.raises(RegistryError, match="finite"):
+        if flag == "--budget":
+            BudgetSpec.parse(value)
+        elif flag == "retry":
+            RetryPolicy.parse(value)
+        else:
+            RetryPolicy(job_timeout=float(value))
+    if flag != "retry":
+        assert cli.main(["optimize", "p01", "--proposals", "200",
+                         "--testcases", "4", "--restarts", "1",
+                         f"{flag}={value}"]) == 2
+        assert "finite" in capsys.readouterr().err

@@ -165,7 +165,8 @@ def test_manifest_freezes_testcases(tmp_path):
     assert manifest["cost"] == "correctness,latency"
     assert manifest["strategy"] == "mcmc"
     assert manifest["budget"] == "fixed"
-    assert manifest["interleave"] == "none"
+    # fields that cannot change results are not resume state (v9)
+    assert "interleave" not in manifest and "transport" not in manifest
 
 
 def test_resume_rejects_changed_budget(tmp_path):
@@ -183,10 +184,16 @@ def test_resume_of_old_manifests_is_a_version_error(tmp_path):
     _campaign(EngineOptions(jobs=1, run_dir=run_dir)).run()
     manifest_path = run_dir / "manifest.json"
     pristine = manifest_path.read_text()
-    for version, dropped in ((2, "budget"), (3, "interleave")):
+    for version, dropped in ((2, "budget"), (3, "minimize"),
+                             (8, None)):
         manifest = json.loads(pristine)
         manifest["version"] = version
-        del manifest[dropped]
+        if dropped is not None:
+            del manifest[dropped]
+        if version == 8:
+            # a v8 manifest froze the transport, which v9 dropped
+            manifest["interleave"] = "none"
+            manifest["transport"] = "local"
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(EngineError,
                            match=f"version {version} is not {MANIFEST_VERSION}"):

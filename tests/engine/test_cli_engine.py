@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import repro.cli as cli
 from repro.api.session import Result
 from repro.engine.checkpoint import MANIFEST_VERSION
@@ -113,8 +115,8 @@ def test_engine_campaign_rejects_unknown_kernel_before_running_any(
     *before* any kernel burns its chains."""
     ran = []
     monkeypatch.setattr(
-        cli, "evaluate_benchmark",
-        lambda bench, **kwargs: ran.append(bench.name))
+        cli, "evaluate_campaign",
+        lambda benches, **kwargs: ran.extend(b.name for b in benches))
     code = cli.main(["engine", "campaign", "p01", "p02", "saxpu"])
     assert code == 2
     err = capsys.readouterr().err
@@ -125,38 +127,63 @@ def test_engine_campaign_rejects_unknown_kernel_before_running_any(
 
 def test_engine_campaign_interleave_matches_sequential(tmp_path,
                                                        capsys):
-    args = ["engine", "campaign", "p01", "p03", "--jobs", "2",
-            "--chains", "2", "--budget", "adaptive:stable=1"]
-    assert cli.main(args) == 0
-    sequential = capsys.readouterr().out
-    assert cli.main(args + ["--interleave"]) == 0
-    interleaved = capsys.readouterr().out
+    """The sweep's rows equal one ``engine campaign`` per kernel, run
+    one after another (kernel ``index`` of a sweep searches with
+    ``--seed`` + index)."""
+    flags = ["--jobs", "2", "--chains", "2",
+             "--budget", "adaptive:stable=1"]
+    assert cli.main(["engine", "campaign", "p01", "p03", *flags]) == 0
+    swept = capsys.readouterr().out.splitlines()
+    sequential = []
+    for kernel, seed in (("p01", "17"), ("p03", "18")):
+        assert cli.main(["engine", "campaign", kernel, "--seed", seed,
+                         *flags]) == 0
+        sequential.append(capsys.readouterr().out.splitlines()[0])
 
     def deterministic(line):
         # drop the wall-clock-derived "[... prop/s, ...]" bracket; the
         # speedups, verdicts, and chain counts must match exactly
         return line.split("  [")[0]
 
-    seq_lines = sequential.splitlines()
-    int_lines = interleaved.splitlines()
-    assert [deterministic(line) for line in int_lines[:-1]] == \
-        [deterministic(line) for line in seq_lines[:-1]]
-    assert "interleaved, " in int_lines[-1]
+    assert [deterministic(line) for line in swept[:-1]] == \
+        [deterministic(line) for line in sequential]
     for marker in ("2/2 kernels improved", "chains scheduled"):
-        assert marker in int_lines[-1] and marker in seq_lines[-1]
+        assert marker in swept[-1]
 
 
 def test_engine_campaign_interleave_journals_current_manifests(tmp_path):
-    code = cli.main(["engine", "campaign", "p01", "p03",
-                     "--interleave", "--jobs", "2",
+    code = cli.main(["engine", "campaign", "p01", "p03", "--jobs", "2",
                      "--run-dir", str(tmp_path / "sweep")])
     assert code == 0
     for kernel in ("p01", "p03"):
         manifest = json.loads(
             (tmp_path / "sweep" / kernel / "manifest.json").read_text())
         assert manifest["version"] == MANIFEST_VERSION
-        assert manifest["interleave"] == "roundrobin"
+        assert "interleave" not in manifest
         assert (tmp_path / "sweep" / kernel / "metrics.jsonl").exists()
+
+
+def test_engine_campaign_minimize_shrinks_every_kernel(tmp_path):
+    """``--minimize`` on a sweep shrinks and journals each kernel's
+    winner, as it does for a single kernel (``Session.run``)."""
+    sweep = tmp_path / "sweep"
+    assert cli.main(["engine", "campaign", "p01", "p03", "--jobs", "2",
+                     "--minimize", "--run-dir", str(sweep)]) == 0
+    for kernel in ("p01", "p03"):
+        records = [json.loads(line) for line in
+                   (sweep / kernel / "metrics.jsonl").read_text()
+                   .splitlines()]
+        assert any(record["record"] == "minimize"
+                   for record in records)
+
+
+def test_engine_campaign_rejects_interleave_flag(capsys):
+    """The flag is gone: every sweep is the round-robin scheduler."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["engine", "campaign", "p01", "--interleave"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --interleave" in \
+        capsys.readouterr().err
 
 
 def test_engine_report_renders_a_finished_sweep(tmp_path, capsys):
@@ -257,8 +284,8 @@ def test_campaign_summary_rate_formatting_matches_json(monkeypatch,
         stoke_speedup=1.0, stoke_verified=True,
         proposals_per_second=1234.56, testcases_per_proposal=1.234,
         chains_scheduled=1)
-    monkeypatch.setattr(cli, "evaluate_benchmark",
-                        lambda *args, **kwargs: outcome)
+    monkeypatch.setattr(cli, "evaluate_campaign",
+                        lambda *args, **kwargs: [outcome])
     assert cli.main(["engine", "campaign", "p01"]) == 0
     out = capsys.readouterr().out
     # summary and per-kernel row both show --json's round(value, 1)
@@ -266,3 +293,23 @@ def test_campaign_summary_rate_formatting_matches_json(monkeypatch,
     assert f"{json_value:,} proposals/s" in out
     assert f"{json_value:,} prop/s" in out
     assert "1 chains scheduled, 0 saved" in out
+
+
+@pytest.mark.parametrize("damage", ["empty", "cut"])
+def test_engine_campaign_resume_of_a_damaged_manifest_exits_2(
+        tmp_path, capsys, damage):
+    """An empty or cut manifest is a typed error naming the file, not
+    a JSONDecodeError traceback."""
+    run_dir = tmp_path / "run"
+    assert cli.main(["optimize", "p01", "--proposals", "200",
+                     "--testcases", "4", "--restarts", "1",
+                     "--run-dir", str(run_dir / "p01")]) == 0
+    manifest = run_dir / "p01" / "manifest.json"
+    text = manifest.read_text()
+    manifest.write_text("" if damage == "empty" else text[:len(text) // 2])
+    capsys.readouterr()
+    assert cli.main(["engine", "campaign", "p01", "--run-dir",
+                     str(run_dir), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "damaged manifest" in err and str(manifest) in err
+    assert "Traceback" not in err

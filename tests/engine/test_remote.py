@@ -22,13 +22,14 @@ import pytest
 
 from repro import cli
 from repro.engine.campaign import Campaign, EngineOptions
+from repro.engine.checkpoint import MANIFEST_VERSION
 from repro.engine.events import (CHAIN_COMPLETED, JOB_REQUEUED,
                                  JOB_RETRIED, WORKER_JOINED,
                                  WORKER_LEFT, ProgressEvent,
                                  format_event, read_events)
 from repro.engine.remote import RemoteExecutor, run_worker
 from repro.engine.sweep import run_campaigns
-from repro.engine.transport import HELLO, WIRE_VERSION, send_frame
+from repro.engine.transport import HELLO, send_frame
 from repro.errors import EngineError, TransportError
 from repro.search.config import SearchConfig
 from repro.suite.registry import benchmark
@@ -61,7 +62,7 @@ def _campaigns(*, base_dir=None, resume=False, workers=0, faults=None,
                               testcase_count=4)
         run_dir = None if base_dir is None else base_dir / name
         options = EngineOptions(jobs=1, run_dir=run_dir, resume=resume,
-                                interleave=True, workers=workers,
+                                workers=workers,
                                 faults=faults, job_timeout=job_timeout,
                                 retries=retries, progress=progress)
         campaigns.append(Campaign(bench.o0, bench.spec,
@@ -99,13 +100,13 @@ def test_loopback_workers_rank_bit_identical(workers, tmp_path):
     assert [_key(result) for result in results] == _baseline()
     for result in results:
         assert result.chains_quarantined == 0
-    # the v8 manifest froze the transport, and the v4 event stream
-    # recorded every worker arrival
+    # the v9 manifest leaves the transport out (a resume may switch
+    # it), and the v4 event stream recorded every worker arrival
     for name in KERNELS:
         manifest = json.loads(
             (base / name / "manifest.json").read_text())
-        assert manifest["version"] == 8
-        assert manifest["transport"] == f"tcp:wire={WIRE_VERSION}"
+        assert manifest["version"] == MANIFEST_VERSION
+        assert "transport" not in manifest
         events = read_events(base / name / "events.jsonl")
         joined = [e for e in events if e.event == WORKER_JOINED]
         # every join is evented; a straggler that connects as the
@@ -288,9 +289,6 @@ def test_workers_option_is_validated():
         EngineOptions(workers=-1)
     with pytest.raises(EngineError, match="cannot be combined"):
         EngineOptions(workers=2, jobs=4)
-    assert EngineOptions(workers=2).transport_policy == \
-        f"tcp:wire={WIRE_VERSION}"
-    assert EngineOptions().transport_policy == "local"
 
 
 def test_sweep_rejects_mismatched_worker_counts():
@@ -298,17 +296,6 @@ def test_sweep_rejects_mismatched_worker_counts():
     object.__setattr__(campaigns[1].options, "workers", 2)
     with pytest.raises(EngineError, match="share a --workers"):
         run_campaigns(campaigns)
-
-
-def test_resume_rejects_a_transport_switch(tmp_path):
-    run_campaigns(_campaigns(base_dir=tmp_path, job_timeout=120.0))
-    manifest = json.loads(
-        (tmp_path / "p01" / "manifest.json").read_text())
-    assert manifest["version"] == 8
-    assert manifest["transport"] == "local"
-    with pytest.raises(EngineError, match="differs in transport"):
-        run_campaigns(_campaigns(base_dir=tmp_path, resume=True,
-                                 workers=2, job_timeout=120.0))
 
 
 def test_cli_worker_verb_maps_errors_to_the_taxonomy(capsys):

@@ -24,8 +24,7 @@ from repro.engine.transport import (BYE, CONTEXT, GRANT, HEARTBEAT,
                                     WIRE_VERSION, FrameBuffer,
                                     decode_frame, encode_frame,
                                     frame_problem, parse_endpoint,
-                                    recv_frame, send_frame,
-                                    transport_spec)
+                                    recv_frame, send_frame)
 from repro.engine.worker import CampaignContext, run_chain_job
 from repro.errors import (EngineError, TransportError,
                           WorkerCrashError)
@@ -126,12 +125,6 @@ def test_parse_endpoint_grammar():
     for bad in ("no-port", ":9000", "host:", "host:pp", "host:70000"):
         with pytest.raises(EngineError, match="endpoint"):
             parse_endpoint(bad)
-
-
-def test_transport_spec_is_the_manifest_form():
-    assert transport_spec(0) == "local"
-    assert transport_spec(1) == f"tcp:wire={WIRE_VERSION}"
-    assert transport_spec(8) == f"tcp:wire={WIRE_VERSION}"
 
 
 # -- worker-side read path: every cut of a frame ------------------------------
