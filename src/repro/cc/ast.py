@@ -153,14 +153,6 @@ class Function:
     body: tuple[Stmt, ...]
     outputs: tuple[Output, ...]
 
-    def var_width(self, default: int = 32) -> dict[str, int]:
-        """Best-effort widths for variables (params + inference)."""
-        widths = {p.name: p.width for p in self.params}
-        for stmt in self.body:
-            if isinstance(stmt, Assign) and stmt.name not in widths:
-                widths[stmt.name] = default
-        return widths
-
 
 #: System V AMD64 integer argument registers, by 64-bit name.
 SYSV_ARG_REGS = ("rdi", "rsi", "rdx", "rcx", "r8", "r9")
@@ -172,8 +164,3 @@ def params32(*names: str) -> tuple[Param, ...]:
     return tuple(
         Param(name, 32, view(SYSV_ARG_REGS[i], 32).name)
         for i, name in enumerate(names))
-
-
-def params64(*names: str) -> tuple[Param, ...]:
-    return tuple(Param(name, 64, SYSV_ARG_REGS[i])
-                 for i, name in enumerate(names))

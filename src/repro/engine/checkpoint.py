@@ -5,8 +5,10 @@ Layout::
     <run_dir>/manifest.json   campaign fingerprint + frozen testcases
     <run_dir>/jobs.jsonl      one line per completed job result
     <run_dir>/grants.jsonl    one line per scheduler grant decision
+    <run_dir>/recovery.jsonl  one line per retry/requeue/quarantine
     <run_dir>/events.jsonl    campaign progress stream (diagnostics)
     <run_dir>/metrics.jsonl   search telemetry (diagnostics)
+    <run_dir>/cex_suite.jsonl persistent counterexamples (--harden)
 
 The manifest freezes everything job results depend on — target, spec,
 annotations, config, and the generated base testcases — so a resumed

@@ -272,7 +272,7 @@ class FaultInjectingExecutor:
     executors, so the scheduler cannot tell injection from genuine
     worker misbehavior — which is the point: the recovery machinery is
     exercised through its production interface. Per-job attempt
-    numbers are tracked here (each ``submit`` of the same job id is
+    numbers are kept here (each ``submit`` of the same job id is
     the next attempt), so the fault sequence a job experiences is
     independent of how grants are ordered across kernels and workers.
     """

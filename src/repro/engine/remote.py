@@ -24,15 +24,15 @@ by design: per-job deadlines (``--job-timeout``) fire in
 :func:`~repro.engine.sweep.run_campaigns` and re-grant elsewhere, so a
 distributed campaign should always set one.
 
-Two bookkeeping rules keep late workers from poisoning the run:
-
-* A job's crash is only surfaced while that worker still *owns* the
-  job (``_inflight``). When a deadline re-grants a job to a second
-  worker, the first worker's later death is a worker-left notice, not
-  a campaign event.
-* A crash is never surfaced for a job whose result was already
-  delivered (``_delivered``): the driver would see a failure for work
-  it already banked.
+One bookkeeping rule keeps late workers from poisoning the run: a
+job's crash is only surfaced while that worker still *owns* the job
+(``_inflight``). When a deadline re-grants a job to a second worker,
+the first worker's later death is a worker-left notice, not a
+campaign event. Late news the coordinator does pass on — a result or
+a crash for a job another worker already delivered — is counted and
+dropped in one place, the kernel's schedule
+(:meth:`~repro.engine.sweep.KernelSchedule.complete` and
+:meth:`~repro.engine.sweep.KernelSchedule.fail`).
 
 :func:`run_worker` is the other side: the loop behind ``repro engine
 worker --connect HOST:PORT``. It is deliberately thin — connect, send
@@ -131,7 +131,6 @@ class RemoteExecutor:
         # death surfaces as a crash
         self._inflight: dict[tuple[str, str], str] = {}
         self._deliveries: deque[tuple] = deque()
-        self._delivered: set[tuple[str, str]] = set()
         self._completed_counts: dict[str, int] = {}
         #: ("joined", name) / ("left", name, reason) membership
         #: changes, drained by the driver into worker-joined /
@@ -400,10 +399,8 @@ class RemoteExecutor:
                       if isinstance(payload, dict) else None)
             key = ((kernel, job_id) if isinstance(job_id, str)
                    else owned)
-            if key is not None:
-                self._delivered.add(key)
-                if self._inflight.get(key) == worker_id:
-                    del self._inflight[key]
+            if key is not None and self._inflight.get(key) == worker_id:
+                del self._inflight[key]
             self._completed_counts[worker_id] = \
                 self._completed_counts.get(worker_id, 0) + 1
             self._deliveries.append(
@@ -432,15 +429,13 @@ class RemoteExecutor:
         except OSError:
             pass
         key = link.busy
-        if (key is not None
-                and self._inflight.get(key) == worker_id):
+        if key is not None and self._inflight.get(key) == worker_id:
             del self._inflight[key]
-            if key not in self._delivered:
-                kernel, job_id = key
-                self._deliveries.append(
-                    ("crash", WorkerCrashError(
-                        f"worker {worker_id} lost running {job_id}: "
-                        f"{reason}", kernel=kernel, job_id=job_id)))
+            kernel, job_id = key
+            self._deliveries.append(
+                ("crash", WorkerCrashError(
+                    f"worker {worker_id} lost running {job_id}: "
+                    f"{reason}", kernel=kernel, job_id=job_id)))
         self.notices.append(("left", worker_id, reason))
 
     def _dispatch(self) -> None:
@@ -465,7 +460,6 @@ class RemoteExecutor:
             key = (kernel, job.job_id)
             link.busy = key
             self._inflight[key] = worker_id
-            self._delivered.discard(key)
 
 
 def run_worker(host: str, port: int, *, heartbeat: float = 5.0,

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from repro.engine import aggregator, scheduler
@@ -77,6 +78,17 @@ RECOVERY_REQUEUED = "requeued"
 RECOVERY_QUARANTINED = "quarantined"
 
 
+@dataclass(slots=True)
+class _InFlight:
+    """One granted job's recovery state: which attempt is running,
+    when the job was first granted, and when to give up waiting."""
+
+    job: ChainJob
+    attempt: int
+    granted_at: float
+    deadline: float | None
+
+
 class KernelSchedule:
     """One kernel's campaign as a steppable state machine.
 
@@ -88,6 +100,12 @@ class KernelSchedule:
     budget rule at every grant, and aggregates its own final result —
     everything :class:`Campaign` used to do inline, reshaped so many
     kernels can share one executor.
+
+    It is also the kernel's recovery ledger: ``in_flight`` maps each
+    granted, unsettled job id to its attempt and deadline, :meth:`fail`
+    decides retry, requeue or quarantine, and news about a job that is
+    no longer in flight (a duplicate, or a late result or crash for
+    work already banked or quarantined) is counted and dropped here.
     """
 
     def __init__(self, campaign: Campaign, *,
@@ -119,6 +137,7 @@ class KernelSchedule:
             self.cex_suite = CounterexampleSuite.for_run_dir(
                 self.store.run_dir)
             self.cex_suite.note(self.testcases)
+        self.policy = options.retry_policy
         self.context = CampaignContext(
             target=campaign.target, spec=campaign.spec,
             annotations=campaign.annotations, config=config,
@@ -154,21 +173,20 @@ class KernelSchedule:
         self._synth_results: list[JobResult] = []
         self._starts: list[Program] = []
         self._rounds = None
-        self._pending_round: list[ChainJob] | None = None
         self._opt_plan: list[ChainJob] = []
         self._decoded: dict[str, JobResult] = {}
         self._opt_granted_all = False
         self._granted_chains = 0
         self._observed_chains = 0
         self._charged_validations = 0
-        self._in_flight: set[str] = set()
+        #: granted jobs awaiting a result, keyed by job id
+        self.in_flight: dict[str, _InFlight] = {}
         self._result: StokeResult | None = None
         self._start_time = 0.0
         self._synth_seconds = 0.0
         self._opt_start_time = 0.0
         # scheduler runtime telemetry (wall-clock, hence filed under
         # the metrics document's nondeterministic runtime section)
-        self._granted_at: dict[str, float] = {}
         self._latency_count = 0
         self._latency_total = 0.0
         self._latency_max = 0.0
@@ -195,9 +213,20 @@ class KernelSchedule:
         assert self._result is not None, "campaign still running"
         return self._result
 
-    def complete(self, payload: Json) -> None:
-        """Feed one finished job's payload back into the schedule."""
+    def complete(self, payload: Json) -> bool:
+        """Feed one finished job's payload back into the schedule.
+
+        Returns False for a job not in flight, counted and dropped: a
+        ``duplicates`` copy of a banked result (first wins), or a
+        ``stale`` result for a job that was re-granted and already
+        banked, or quarantined. It never reaches the aggregate.
+        """
         job_id = payload["job_id"]
+        flight = self.in_flight.pop(job_id, None)
+        if flight is None:
+            self.recovery_counts["duplicates" if job_id in self.completed
+                                 else "stale"] += 1
+            return False
         self.completed[job_id] = payload
         if self.store is not None:
             self.store.record(payload)
@@ -206,13 +235,10 @@ class KernelSchedule:
                          kind=payload["kind"],
                          verified=len(payload["verified"]),
                          new_testcases=len(payload["new_testcases"]))
-        self._in_flight.discard(job_id)
-        granted_at = self._granted_at.pop(job_id, None)
-        if granted_at is not None:
-            latency = self.clock() - granted_at
-            self._latency_count += 1
-            self._latency_total += latency
-            self._latency_max = max(self._latency_max, latency)
+        latency = self.clock() - flight.granted_at
+        self._latency_count += 1
+        self._latency_total += latency
+        self._latency_max = max(self._latency_max, latency)
         self._sample_occupancy()
         chain = payload.get("chain")
         telemetry = None if chain is None else chain.get("telemetry")
@@ -221,8 +247,35 @@ class KernelSchedule:
         if self.cex_suite is not None and payload["new_testcases"]:
             self.cex_suite.append(
                 self._result_for(job_id).new_testcases)
+        return True
 
     # -- recovery -------------------------------------------------------------
+
+    def fail(self, job_id: str, reason: str, *,
+             requeue: bool) -> ChainJob | None:
+        """Settle one failed (or, with ``requeue``, expired) attempt.
+
+        Returns the job to submit again, with its next attempt's
+        backed-off deadline, or None: after the attempt that exhausts
+        ``retries + 1`` the job is quarantined, and bad news about a
+        job not in flight (its result already banked, or it was
+        quarantined) is counted ``stale`` and dropped.
+        """
+        flight = self.in_flight.get(job_id)
+        if flight is None:
+            self.recovery_counts["stale"] += 1
+            return None
+        attempts = flight.attempt + 1           # attempts made so far
+        if attempts > self.policy.retries:
+            self.quarantine(flight.job, attempts, reason)
+            return None
+        if requeue:
+            self.note_requeue(flight.job, attempts, reason)
+        else:
+            self.note_retry(flight.job, attempts, reason)
+        flight.attempt = attempts
+        flight.deadline = self.policy.deadline(self.clock(), attempts)
+        return flight.job
 
     def _note_recovery(self, action: str, event_type: str,
                        job: ChainJob, attempt: int,
@@ -252,16 +305,15 @@ class KernelSchedule:
                    reason: str) -> None:
         """Abandon a job that exhausted its retries.
 
-        The campaign degrades gracefully: the job leaves the in-flight
-        set (so the schedule can progress), contributes an empty
-        result to the aggregate, and is reported — never silently
-        dropped — in ``StokeResult.quarantined_jobs``.
+        The campaign degrades gracefully: the job leaves ``in_flight``
+        (so the schedule can progress), contributes an empty result to
+        the aggregate, and is reported — never silently dropped — in
+        ``StokeResult.quarantined_jobs``.
         """
         self._note_recovery(RECOVERY_QUARANTINED, JOB_QUARANTINED,
                             job, attempt, reason)
         self._quarantined[job.job_id] = job.kind
-        self._in_flight.discard(job.job_id)
-        self._granted_at.pop(job.job_id, None)
+        self.in_flight.pop(job.job_id, None)
         self._sample_occupancy()
 
     def note_worker(self, worker_id: str | None) -> None:
@@ -282,17 +334,6 @@ class KernelSchedule:
                 self.events.emit(WORKER_LEFT, self.name,
                                  worker=notice[1], reason=notice[2])
 
-    def note_duplicate(self, job_id: str) -> None:
-        """Count one duplicate completion (first-wins dedup kept the
-        journaled result; the copy is dropped)."""
-        self.recovery_counts["duplicates"] += 1
-
-    def note_stale(self, job_id: str) -> None:
-        """Count one completion for a job this run no longer tracks
-        (a re-granted job's original worker reporting after its
-        replacement already finished, or after a quarantine)."""
-        self.recovery_counts["stale"] += 1
-
     def next_grant(self, elapsed: float) -> list[ChainJob] | None:
         """The next wave of jobs to submit, or None.
 
@@ -303,7 +344,7 @@ class KernelSchedule:
         the next grant decision.
         """
         while True:
-            if self._result is not None or self._in_flight:
+            if self._result is not None or self.in_flight:
                 return None
             if self._phase == _SYNTHESIS:
                 if not self._synth_granted:
@@ -333,18 +374,19 @@ class KernelSchedule:
 
     def _admit_wave(self, jobs: list[ChainJob], *, wave: str,
                     chain: int | None, reason: str) -> list[ChainJob]:
-        """Admit one granted wave: emit the grant event, return the
-        jobs not already satisfied by the resume journal."""
+        """Admit one granted wave: emit the grant event, put the jobs
+        not already satisfied by the resume journal in flight (attempt
+        0, first deadline) and return them."""
         self.events.emit(KERNEL_GRANTED, self.name, wave=wave,
                          chain=chain, granted=True, reason=reason,
                          jobs=len(jobs))
         pending = [job for job in jobs
                    if job.job_id not in self.completed
                    and job.job_id not in self._quarantined]
-        self._in_flight.update(job.job_id for job in pending)
         now = self.clock()
+        deadline = self.policy.deadline(now, 0)
         for job in pending:
-            self._granted_at[job.job_id] = now
+            self.in_flight[job.job_id] = _InFlight(job, 0, now, deadline)
         self._sample_occupancy()
         return pending
 
@@ -352,7 +394,7 @@ class KernelSchedule:
         """One (elapsed, jobs-in-flight) point on the occupancy
         timeline; ``force`` because elapsed is a float, not a step."""
         self._occupancy.record(self.clock() - self._start_time,
-                               float(len(self._in_flight)), force=True)
+                               float(len(self.in_flight)), force=True)
 
     def _result_for(self, job_id: str) -> JobResult:
         """The decoded result for one completed job, parsed once.
@@ -414,13 +456,10 @@ class KernelSchedule:
                              granted=False, reason=reason, jobs=0)
             self._finalize(reason)
             return None
-        if self._pending_round is None:
-            self._pending_round = next(self._rounds, None)
-        if self._pending_round is None:
+        round_jobs = next(self._rounds, None)
+        if round_jobs is None:
             self._finalize("exhausted")
             return None
-        round_jobs = self._pending_round
-        self._pending_round = None
         chain = self._granted_chains
         self._granted_chains += 1
         self._opt_plan.extend(round_jobs)
@@ -610,20 +649,6 @@ class KernelSchedule:
             self.name, merged.deterministic_json(), runtime)
 
 
-class _InFlight:
-    """Driver-side state of one granted job: who wants it, which
-    attempt is running, and when to give up waiting for it."""
-
-    __slots__ = ("kernel", "job", "attempt", "deadline")
-
-    def __init__(self, kernel: str, job: ChainJob, attempt: int,
-                 deadline: float | None) -> None:
-        self.kernel = kernel
-        self.job = job
-        self.attempt = attempt
-        self.deadline = deadline
-
-
 def run_campaigns(campaigns: list[Campaign], *,
                   clock: Clock = time.perf_counter,
                   executor_factory: Callable[
@@ -648,13 +673,16 @@ def run_campaigns(campaigns: list[Campaign], *,
     factory, ``EngineOptions.workers > 0`` selects the distributed
     coordinator and spawns that many loopback workers.
 
-    The driver is also the recovery layer: every granted job carries
-    a per-attempt deadline (``--job-timeout``, capped exponential
+    Recovery is each schedule's business (:meth:`KernelSchedule.fail`
+    and :meth:`KernelSchedule.complete`): every granted job carries a
+    per-attempt deadline (``--job-timeout``, capped exponential
     backoff), a crashed or corrupt attempt is re-granted up to
     ``--retries`` times before quarantine, duplicate completions are
     deduplicated first-wins by job id, and every decision is
     journaled (``recovery.jsonl``) and streamed (``job-retried`` /
-    ``job-requeued`` / ``job-quarantined``). Because chain jobs are
+    ``job-requeued`` / ``job-quarantined``). The driver only waits
+    until the nearest deadline and hands each failure, expiry or
+    completion to its kernel's schedule. Because chain jobs are
     deterministic functions of their (context, job) pair, a retried
     attempt reproduces the lost payload exactly — a campaign that
     survives injected faults ranks bit-identically to a fault-free
@@ -699,34 +727,12 @@ def run_campaigns(campaigns: list[Campaign], *,
     if faults is not None and faults.active:
         executor = FaultInjectingExecutor(executor, faults)
     start = clock()
-    # job ids are kernel-agnostic (every kernel has an opt-c000-s000),
-    # so in-flight state is keyed by (kernel, job id)
-    tracked: dict[tuple[str, str], _InFlight] = {}
 
-    def admit(kernel: str, wave: list[ChainJob]) -> None:
-        now = clock()
-        for job in wave:
-            tracked[kernel, job.job_id] = _InFlight(
-                kernel, job, 0, policy.deadline(now, 0))
-        executor.submit(kernel, wave)
-
-    def fail_attempt(key: tuple[str, str], reason: str, *,
-                     requeue: bool) -> None:
-        """Retry (or quarantine) one failed/expired attempt."""
-        flight = tracked[key]
-        schedule = by_name[flight.kernel]
-        attempts = flight.attempt + 1       # attempts made so far
-        if attempts > policy.retries:
-            del tracked[key]
-            schedule.quarantine(flight.job, attempts, reason)
-            return
-        if requeue:
-            schedule.note_requeue(flight.job, attempts, reason)
-        else:
-            schedule.note_retry(flight.job, attempts, reason)
-        flight.attempt = attempts
-        flight.deadline = policy.deadline(clock(), attempts)
-        executor.submit(flight.kernel, [flight.job])
+    def fail(schedule: KernelSchedule, job_id: str, reason: str, *,
+             requeue: bool = False) -> None:
+        job = schedule.fail(job_id, reason, requeue=requeue)
+        if job is not None:
+            executor.submit(schedule.name, [job])
 
     def sync_membership() -> None:
         """Stream any worker joins/leaves the executor observed while
@@ -750,75 +756,63 @@ def run_campaigns(campaigns: list[Campaign], *,
                 for schedule in schedules:       # fair-share rotation
                     pending = schedule.next_grant(clock() - start)
                     if pending:
-                        admit(schedule.name, pending)
+                        executor.submit(schedule.name, pending)
                         progressed = True
             if all(schedule.done for schedule in schedules):
                 break
-            if not tracked:
+            # job ids are kernel-agnostic (every kernel has an
+            # opt-c000-s000), so each schedule keeps its own ledger
+            in_flight = [(schedule, flight) for schedule in schedules
+                         for flight in schedule.in_flight.values()]
+            if not in_flight:
                 raise EngineError("campaign scheduler stalled with "
                                   "no jobs in flight")
             timeout = None
             if policy.job_timeout is not None:
-                nearest = min(flight.deadline
-                              for flight in tracked.values())
+                nearest = min(flight.deadline for _, flight in in_flight)
                 timeout = max(0.0, nearest - clock())
             try:
                 kernel, payload = executor.next_result(timeout=timeout)
             except JobTimeoutError:
                 # a stalled worker never deadlocks the wait: whichever
-                # jobs are past their deadline are re-granted, and a
-                # spurious wake simply recomputes the next deadline
+                # jobs are past their deadline are re-granted, oldest
+                # grant first, and a spurious wake simply recomputes
+                # the next deadline
                 now = clock()
-                overdue = [key for key, flight in tracked.items()
-                           if flight.deadline is not None
-                           and flight.deadline <= now]
-                for key in overdue:
-                    fail_attempt(key, "deadline expired",
-                                 requeue=True)
+                overdue = sorted(
+                    ((schedule, flight) for schedule, flight in in_flight
+                     if flight.deadline is not None
+                     and flight.deadline <= now),
+                    key=lambda pair: pair[1].granted_at)
+                for schedule, flight in overdue:
+                    fail(schedule, flight.job.job_id, "deadline expired",
+                         requeue=True)
                 continue
             except WorkerCrashError as exc:
-                key = (exc.kernel, exc.job_id)
                 if exc.job_id is None or exc.kernel not in by_name:
                     raise          # pool-level failure: unrecoverable
-                if key not in tracked:
-                    # a re-granted job's original worker failing after
-                    # its replacement (or a quarantine) already
-                    # settled the job: late bad news about banked
-                    # work, counted and dropped like a stale result
-                    by_name[exc.kernel].note_stale(exc.job_id)
-                    continue
-                fail_attempt(key, str(exc), requeue=False)
+                fail(by_name[exc.kernel], exc.job_id, str(exc))
                 continue
             finally:
                 sync_membership()
+            problem = payload_problem(payload)
+            if problem is None:
+                schedule = by_name[kernel]
+                if schedule.complete(payload):
+                    schedule.note_worker(
+                        getattr(executor, "last_worker_id", None))
+                continue
+            schedule = by_name.get(kernel)
             job_id = (payload.get("job_id")
                       if isinstance(payload, dict) else None)
-            key = (kernel, job_id)
-            problem = payload_problem(payload)
-            if problem is not None:
-                if isinstance(job_id, str) and key in tracked:
-                    fail_attempt(key, f"corrupt payload: {problem}",
-                                 requeue=False)
-                    continue
-                raise CorruptPayloadError(
-                    f"unrecoverable corrupt payload from {kernel}: "
-                    f"{problem}", kernel=kernel,
-                    job_id=job_id if isinstance(job_id, str) else None)
-            schedule = by_name[kernel]
-            if key in tracked:
-                del tracked[key]
-                schedule.complete(payload)
-                schedule.note_worker(
-                    getattr(executor, "last_worker_id", None))
-            elif job_id in schedule.completed:
-                # duplicate completion: first-wins — the journaled
-                # result stands, the copy is counted and dropped
-                schedule.note_duplicate(job_id)
-            else:
-                # a completion for a job this run no longer tracks
-                # (re-granted elsewhere, or quarantined): never let it
-                # poison the aggregate
-                schedule.note_stale(job_id)
+            if (schedule is not None and isinstance(job_id, str)
+                    and job_id in schedule.in_flight):
+                fail(schedule, job_id, f"corrupt payload: {problem}")
+                continue
+            raise CorruptPayloadError(
+                f"unrecoverable corrupt payload from {kernel}: "
+                f"{problem}", kernel=kernel,
+                job_id=job_id if isinstance(job_id, str) else None)
     except BaseException:
         # don't block an error or Ctrl-C on queued chains; the
         # journal already holds everything worth keeping (every

@@ -99,11 +99,6 @@ class StokeResult:
         return proposals, testcases, seconds
 
     @property
-    def total_proposals(self) -> int:
-        """Proposals evaluated across all chains of the run."""
-        return self._chain_totals()[0]
-
-    @property
     def proposals_per_second(self) -> float:
         """Aggregate inner-loop throughput (chain time, not wall).
 

@@ -28,6 +28,8 @@ class Testcase:
         valid_addresses: the sandbox address set for rewrites.
     """
 
+    __test__ = False                    # not a pytest test class
+
     input_regs: tuple[tuple[str, int], ...]
     input_memory: tuple[tuple[int, int], ...]
     expected_regs: tuple[tuple[str, int], ...]
@@ -113,17 +115,6 @@ class Testcase:
             box = Sandbox(self.valid_addresses)
             self.__dict__["_sandbox"] = box
         return box
-
-    @property
-    def output_width_bits(self) -> int:
-        """Total number of live-output bits this testcase checks."""
-        cached = self.__dict__.get("_output_width_bits")
-        if cached is None:
-            reg_bits = sum(lookup(name).width
-                           for name, _ in self.expected_regs)
-            cached = reg_bits + 8 * len(self.expected_memory)
-            self.__dict__["_output_width_bits"] = cached
-        return cached
 
 
 def build_reg_lookup(input_regs: dict[str, int]) -> dict[str, int]:

@@ -248,9 +248,6 @@ class SymbolicMachine:
     def snapshot(self) -> tuple[dict[str, BV], dict[str, BV]]:
         return dict(self.regs), dict(self.flags)
 
-    def restore(self, snap: tuple[dict[str, BV], dict[str, BV]]) -> None:
-        self.regs, self.flags = dict(snap[0]), dict(snap[1])
-
     def merge_in(self, guard: BV,
                  snap: tuple[dict[str, BV], dict[str, BV]]) -> None:
         """Merge a pending branch state under its guard."""
